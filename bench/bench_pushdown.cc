@@ -15,41 +15,202 @@
 //     even if 31 are not needed").
 //   Uncompressed — streams all bytes, no metadata to skip with.
 //
-// The binary enforces the bit-identity contract internally: all four
+// Two more rows cover the paths the Stocks-USA sweep never takes: POI-lat
+// (an ALP_rd column, so every surviving vector decodes and filters through
+// select → compact → striped sum) at 96% selectivity, and a 50% two-column
+// dot-sum, whose projected columns late-materialize through the dense
+// (decode + compact) gather. A last section sweeps survivor density for
+// the two late-materialization strategies — the survivor-at-a-time gather
+// kernel against fused decode + compact — which is where
+// pushdown::kDenseGatherDivisor comes from.
+//
+// The binary enforces the bit-identity contract internally: all
 // strategies must produce bitwise-equal sums at every selectivity, at
 // whatever kernel tier the dispatcher selected (force one with
 // ALP_FORCE_KERNEL). With --json=<path> it emits alp-bench-v1 records
-// (metric filtered_sum_tuples_per_cycle_per_core) for the regression gate.
+// (metrics filtered_sum_tuples_per_cycle_per_core,
+// filtered_dot_sum_tuples_per_cycle_per_core and gather_cycles_per_vector)
+// for the regression gate.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "alp/kernel_dispatch.h"
+#include "alp/pushdown.h"
 #include "bench_common.h"
 #include "data/datasets.h"
 #include "engine/operators.h"
+#include "engine/table.h"
 
 namespace {
 
+using alp::engine::FilterMode;
+using alp::engine::QueryResult;
+using alp::engine::StoredColumn;
+
 /// Best-of-N to stabilize the cycle counts (first run also warms caches).
-alp::engine::QueryResult Best(const alp::engine::StoredColumn& column,
-                              const alp::Predicate& pred,
-                              alp::engine::ThreadPool& pool,
-                              alp::engine::FilterMode mode) {
-  alp::engine::QueryResult best;
+template <typename Run>
+QueryResult Best(const Run& run) {
+  QueryResult best;
   for (int i = 0; i < 5; ++i) {
-    const auto r = alp::engine::RunFilterSum(column, pred, pool, nullptr, mode);
+    const QueryResult r = run();
     if (i == 0 || r.cycles < best.cycles) best = r;
   }
   return best;
 }
 
-std::string SelLabel(double selectivity) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "Stocks-USA@sel%g", selectivity);
+QueryResult BestFilterSum(const StoredColumn& column, const alp::Predicate& pred,
+                          alp::engine::ThreadPool& pool, FilterMode mode) {
+  return Best([&] {
+    return alp::engine::RunFilterSum(column, pred, pool, nullptr, mode);
+  });
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+std::string Label(const char* dataset, const char* what, double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%s@%s%g", dataset, what, value);
   return buf;
+}
+
+/// One dataset's column in every storage scheme the table compares.
+struct Columns {
+  StoredColumn uncompressed;
+  StoredColumn alp;
+  StoredColumn zstd;
+  size_t vectors;
+
+  explicit Columns(const std::vector<double>& data)
+      : uncompressed(StoredColumn::MakeUncompressed(data)),
+        alp(StoredColumn::MakeAlp(data.data(), data.size())),
+        zstd(StoredColumn::MakeCodec(alp::codecs::MakeZstd(), data.data(),
+                                     data.size())),
+        vectors((data.size() + alp::kVectorSize - 1) / alp::kVectorSize) {}
+};
+
+/// Runs one filtered-SUM row over all four strategies: prints it, records
+/// it, and checks that every strategy returned the same bits. Returns the
+/// decode-over-pushdown speedup, or a negative value on a bit-identity
+/// violation.
+double FilterRow(const std::string& ds, double selectivity, const Columns& cols,
+                 const alp::Predicate& pred, alp::engine::ThreadPool& pool,
+                 const std::string& tier, alp::bench::JsonReport& report) {
+  const auto push = BestFilterSum(cols.alp, pred, pool, FilterMode::kAuto);
+  const auto dec = BestFilterSum(cols.alp, pred, pool, FilterMode::kDecodeThenFilter);
+  const auto z = BestFilterSum(cols.zstd, pred, pool, FilterMode::kAuto);
+  const auto u = BestFilterSum(cols.uncompressed, pred, pool, FilterMode::kAuto);
+
+  // Bit-identity contract: the packed-lane path must equal the
+  // decode-then-filter oracle (and the other schemes, which filter the
+  // same losslessly stored values) to the last bit.
+  const bool identical = SameBits(push.sum, dec.sum) && SameBits(push.sum, z.sum) &&
+                         SameBits(push.sum, u.sum);
+  if (!identical) {
+    std::fprintf(stderr,
+                 "BIT-IDENTITY VIOLATION at %s: pushdown=%.17g "
+                 "decode=%.17g zstd=%.17g uncompressed=%.17g\n",
+                 ds.c_str(), push.sum, dec.sum, z.sum, u.sum);
+  }
+
+  const double speedup = dec.cycles > 0 && push.cycles > 0
+                              ? static_cast<double>(dec.cycles) /
+                                    static_cast<double>(push.cycles)
+                              : 0.0;
+  const size_t evaluated = cols.vectors - push.vectors_skipped;
+  const double packed_pct =
+      evaluated == 0 ? 0.0
+                     : 100.0 * static_cast<double>(push.vectors_packed_eval) /
+                           static_cast<double>(evaluated);
+
+  std::printf("%-22s %6.1f%% | %13.3f (%4.0f%%) | %12.3f | %12.3f | %12.3f | %6.2fx\n",
+              ds.substr(0, ds.find('@')).c_str(), 100.0 * selectivity,
+              push.TuplesPerCyclePerCore(), packed_pct,
+              dec.TuplesPerCyclePerCore(), z.TuplesPerCyclePerCore(),
+              u.TuplesPerCyclePerCore(), speedup);
+
+  const char* metric = "filtered_sum_tuples_per_cycle_per_core";
+  report.Add(ds, "ALP-pushdown", metric, push.TuplesPerCyclePerCore(), "tuples/cycle", 1,
+             tier);
+  report.Add(ds, "ALP-decode", metric, dec.TuplesPerCyclePerCore(), "tuples/cycle", 1,
+             tier);
+  report.Add(ds, "Zstd", metric, z.TuplesPerCyclePerCore(), "tuples/cycle", 1);
+  report.Add(ds, "Uncompressed", metric, u.TuplesPerCyclePerCore(), "tuples/cycle", 1);
+  return identical ? speedup : -1.0;
+}
+
+double Quantile(std::vector<double> values, double q) {
+  const size_t k = std::min(values.size() - 1, static_cast<size_t>(q * values.size()));
+  std::nth_element(values.begin(), values.begin() + k, values.end());
+  return values[k];
+}
+
+/// Cycles per vector of the two late-materialization strategies over every
+/// FFOR-packed vector of \p reader, at one survivor density: the gather
+/// kernel (lanes unpacked by the compare kernel, then decoded survivor by
+/// survivor) against fused decode + in-place compact64.
+void GatherSweepRow(const alp::ColumnReader<double>& reader, double density,
+                    const std::string& tier, alp::bench::JsonReport& report) {
+  const alp::kernels::DecodeKernels& k = alp::kernels::Active();
+  std::mt19937_64 rng(static_cast<uint64_t>(density * 1e6));
+  std::vector<std::vector<uint64_t>> bitmaps;
+  std::vector<size_t> packed;
+  for (size_t v = 0; v < reader.vector_count(); ++v) {
+    alp::ColumnReader<double>::PackedVectorView view;
+    if (!reader.GetPackedVectorView(v, &view)) continue;
+    std::vector<uint64_t> bitmap(alp::kVectorSize / 64, 0);
+    for (unsigned i = 0; i < view.n; ++i) {
+      if (static_cast<double>(rng() % 1'000'000) < density * 1e6) {
+        bitmap[i / 64] |= uint64_t{1} << (i % 64);
+      }
+    }
+    bitmaps.push_back(std::move(bitmap));
+    packed.push_back(v);
+  }
+  if (packed.empty()) return;
+  alp::pushdown::EvalScratch scratch;
+  alignas(64) double out[alp::kVectorSize];
+  double sink = 0.0;
+  // Best of several short runs: the two strategies differ by a few hundred
+  // cycles per vector, less than one scheduler hiccup.
+  const auto best_cycles = [](const auto& fn) {
+    double best = alp::bench::MeasureCycles(fn, 4'000'000);
+    for (int i = 0; i < 6; ++i) {
+      best = std::min(best, alp::bench::MeasureCycles(fn, 4'000'000));
+    }
+    return best;
+  };
+  const double gather = best_cycles([&] {
+    for (size_t j = 0; j < packed.size(); ++j) {
+      alp::ColumnReader<double>::PackedVectorView view;
+      reader.GetPackedVectorView(packed[j], &view);
+      k.cmp_range64(view.packed, view.ffor.width, 0, ~uint64_t{0}, scratch.lanes,
+                    scratch.bitmap);
+      const unsigned count = k.gather64(
+          scratch.lanes, view.ffor.base, alp::AlpTraits<double>::kF10[view.c.f],
+          alp::AlpTraits<double>::kIF10[view.c.e], bitmaps[j].data(), out);
+      sink += count > 0 ? out[0] : 0.0;
+    }
+  }) / static_cast<double>(packed.size());
+  const double compact = best_cycles([&] {
+    for (size_t j = 0; j < packed.size(); ++j) {
+      reader.DecodeVector(packed[j], out);
+      const unsigned count =
+          k.compact64(out, reader.VectorLength(packed[j]), bitmaps[j].data(), out);
+      sink += count > 0 ? out[0] : 0.0;
+    }
+  }) / static_cast<double>(packed.size());
+  std::printf("%10.4f | %18.0f | %20.0f | %s\n", density, gather, compact,
+              gather <= compact ? "gather" : "decode + compact");
+  const std::string ds = Label("Stocks-USA", "density", density);
+  report.Add(ds, "gather64", "gather_cycles_per_vector", gather, "cycles", 1, tier);
+  report.Add(ds, "decode+compact64", "gather_cycles_per_vector", compact, "cycles", 1,
+             tier);
+  if (sink == 1.2345) std::printf(" ");  // Keeps the loops from being elided.
 }
 
 }  // namespace
@@ -69,22 +230,18 @@ int main(int argc, char** argv) {
   const double hi_all = *minmax.second;
 
   alp::engine::ThreadPool pool(1);
-  const auto uncompressed = alp::engine::StoredColumn::MakeUncompressed(data);
-  const auto alp_col = alp::engine::StoredColumn::MakeAlp(data.data(), data.size());
-  const auto zstd_col = alp::engine::StoredColumn::MakeCodec(
-      alp::codecs::MakeZstd(), data.data(), data.size());
+  const Columns stocks(data);
   const std::string tier(alp::kernels::ActiveTierName());
 
-  std::printf("Compressed-domain filtered SUM over %zu clustered values "
+  std::printf("Compressed-domain filtered SUM over %zu values per dataset "
               "(kernel tier: %s)\n", n, tier.c_str());
   std::printf("(push-down compares FFOR-packed lanes; decode-then-filter is "
               "the oracle)\n\n");
-  std::printf("%12s | %21s | %12s | %12s | %12s | %7s\n", "selectivity",
-              "pushdown t/c (pack%)", "decode t/c", "Zstd t/c", "Uncompr. t/c",
-              "speedup");
-  alp::bench::Rule('-', 94);
+  std::printf("%-22s %7s | %21s | %12s | %12s | %12s | %7s\n", "dataset",
+              "select.", "pushdown t/c (pack%)", "decode t/c", "Zstd t/c",
+              "Uncompr. t/c", "speedup");
+  alp::bench::Rule('-', 110);
 
-  const size_t vectors = (n + alp::kVectorSize - 1) / alp::kVectorSize;
   bool identity_ok = true;
   double speedup_at_low_sel = 0.0;
   for (double selectivity : {1.0, 0.25, 0.05, 0.01, 0.001}) {
@@ -93,60 +250,77 @@ int main(int argc, char** argv) {
     const double span = (hi_all - lo_all) * selectivity;
     const double lo = lo_all + (hi_all - lo_all) * 0.4;
     const double hi = lo + span;
-    const auto pred = alp::Predicate::Between(lo, hi);
+    const double speedup =
+        FilterRow(Label("Stocks-USA", "sel", selectivity), selectivity, stocks,
+                  alp::Predicate::Between(lo, hi), pool, tier, report);
+    if (speedup < 0) identity_ok = false;
+    if (selectivity == 0.05) speedup_at_low_sel = speedup;
+  }
 
-    const auto push =
-        Best(alp_col, pred, pool, alp::engine::FilterMode::kAuto);
-    const auto dec =
-        Best(alp_col, pred, pool, alp::engine::FilterMode::kDecodeThenFilter);
-    const auto z = Best(zstd_col, pred, pool, alp::engine::FilterMode::kAuto);
-    const auto u =
-        Best(uncompressed, pred, pool, alp::engine::FilterMode::kAuto);
+  // POI-lat compresses with ALP_rd: no packed lanes, so every surviving
+  // vector takes the decode-then-filter fallback.
+  const auto lat = alp::data::Generate(*alp::data::FindDataset("POI-lat"), n);
+  const Columns lat_cols(lat);
+  if (FilterRow(Label("POI-lat", "sel", 0.96), 0.96, lat_cols,
+                alp::Predicate::Between(Quantile(lat, 0.02), Quantile(lat, 0.98)),
+                pool, tier, report) < 0) {
+    identity_ok = false;
+  }
 
-    // Bit-identity contract: the packed-lane path must equal the
-    // decode-then-filter oracle (and the other schemes, which filter the
-    // same losslessly stored values) to the last bit.
-    if (std::memcmp(&push.sum, &dec.sum, sizeof(double)) != 0 ||
-        std::memcmp(&push.sum, &z.sum, sizeof(double)) != 0 ||
-        std::memcmp(&push.sum, &u.sum, sizeof(double)) != 0) {
+  // Two-column dot-sum at 50% selectivity: the Stocks-USA filter column is
+  // compared on packed lanes, and the two projected ALP columns gather
+  // half of every vector — the dense (decode + compact) gather.
+  {
+    const auto a = alp::data::Generate(*alp::data::FindDataset("City-Temp"), n);
+    const auto b = alp::data::Generate(*alp::data::FindDataset("Gov/26"), n);
+    alp::engine::Table table;
+    table.AddColumn("f", StoredColumn::MakeAlp(data.data(), n));
+    table.AddColumn("a", StoredColumn::MakeAlp(a.data(), n));
+    table.AddColumn("b", StoredColumn::MakeAlp(b.data(), n));
+    const auto pred =
+        alp::Predicate::Between(Quantile(data, 0.25), Quantile(data, 0.75));
+    const auto dot = [&](FilterMode mode) {
+      return Best([&] {
+        return alp::engine::RunFilteredDotSum(table, "f", pred, "a", "b", pool,
+                                              nullptr, mode);
+      });
+    };
+    const QueryResult push = dot(FilterMode::kAuto);
+    const QueryResult dec = dot(FilterMode::kDecodeThenFilter);
+    if (!SameBits(push.sum, dec.sum)) {
       std::fprintf(stderr,
-                   "BIT-IDENTITY VIOLATION at sel=%g: pushdown=%.17g "
-                   "decode=%.17g zstd=%.17g uncompressed=%.17g\n",
-                   selectivity, push.sum, dec.sum, z.sum, u.sum);
+                   "BIT-IDENTITY VIOLATION in the 50%% dot-sum: pushdown=%.17g "
+                   "decode=%.17g\n", push.sum, dec.sum);
       identity_ok = false;
     }
-
-    const double speedup = dec.cycles > 0 && push.cycles > 0
-                               ? static_cast<double>(dec.cycles) /
-                                     static_cast<double>(push.cycles)
-                               : 0.0;
-    if (selectivity == 0.05) speedup_at_low_sel = speedup;
-    const size_t evaluated = vectors - push.vectors_skipped;
-    const double packed_pct =
-        evaluated == 0 ? 0.0
-                       : 100.0 * static_cast<double>(push.vectors_packed_eval) /
-                             static_cast<double>(evaluated);
-
-    std::printf("%11.1f%% | %13.3f (%4.0f%%) | %12.3f | %12.3f | %12.3f | %6.2fx\n",
-                100.0 * selectivity, push.TuplesPerCyclePerCore(), packed_pct,
-                dec.TuplesPerCyclePerCore(), z.TuplesPerCyclePerCore(),
-                u.TuplesPerCyclePerCore(), speedup);
-
-    const std::string ds = SelLabel(selectivity);
-    report.Add(ds, "ALP-pushdown", "filtered_sum_tuples_per_cycle_per_core",
-               push.TuplesPerCyclePerCore(), "tuples/cycle", 1, tier);
-    report.Add(ds, "ALP-decode", "filtered_sum_tuples_per_cycle_per_core",
-               dec.TuplesPerCyclePerCore(), "tuples/cycle", 1, tier);
-    report.Add(ds, "Zstd", "filtered_sum_tuples_per_cycle_per_core",
-               z.TuplesPerCyclePerCore(), "tuples/cycle", 1);
-    report.Add(ds, "Uncompressed", "filtered_sum_tuples_per_cycle_per_core",
-               u.TuplesPerCyclePerCore(), "tuples/cycle", 1);
+    std::printf("%-22s %6.1f%% | %13.3f        | %12.3f | (dot-sum: a*b over 3 "
+                "columns)\n",
+                "Stocks-USA dot-sum", 50.0, push.TuplesPerCyclePerCore(),
+                dec.TuplesPerCyclePerCore());
+    const std::string ds = Label("Stocks-USA", "dot_sel", 0.5);
+    const char* metric = "filtered_dot_sum_tuples_per_cycle_per_core";
+    report.Add(ds, "ALP-pushdown", metric, push.TuplesPerCyclePerCore(), "tuples/cycle",
+               1, tier);
+    report.Add(ds, "ALP-decode", metric, dec.TuplesPerCyclePerCore(), "tuples/cycle", 1,
+               tier);
   }
 
   std::printf(
       "\nShape check: as selectivity drops, push-down climbs twice over -\n"
       "skipped vectors are never fetched, and surviving vectors are compared\n"
       "as packed integers with only survivors materialized to doubles.\n");
+
+  std::printf("\nLate materialization by survivor density (cycles per vector, "
+              "Stocks-USA;\npushdown::kDenseGatherDivisor = %u switches to "
+              "decode + compact at 1/%u):\n",
+              alp::pushdown::kDenseGatherDivisor, alp::pushdown::kDenseGatherDivisor);
+  std::printf("%10s | %18s | %20s | %s\n", "density", "gather64", "decode+compact64",
+              "cheaper");
+  alp::bench::Rule('-', 72);
+  for (double density : {1.0 / 64, 1.0 / 32, 1.0 / 16, 1.0 / 12, 1.0 / 8, 1.0 / 6,
+                         1.0 / 4, 1.0 / 2, 1.0}) {
+    GatherSweepRow(*stocks.alp.AlpReader(), density, tier, report);
+  }
 
   if (!identity_ok) return 1;
   // The speedup floor only binds at full-size runs: at smoke sizes (a few

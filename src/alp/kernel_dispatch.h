@@ -112,6 +112,23 @@ struct DecodeKernels {
   /// filter oracle.
   unsigned (*gather64)(const uint64_t* lanes, uint64_t base, double f10_f,
                        double if10_e, const uint64_t* bitmap, double* out);
+
+  /// Range selection over decoded doubles: writes the 16-word bitmap with
+  /// bit i set iff i < n and values[i] satisfies the range exactly as
+  /// Predicate::Matches does (`>` / `<` for an open bound, `>=` / `<=` for
+  /// a closed one; ordered compares, so a NaN value or a NaN bound never
+  /// matches and -0.0 == +0.0). Bits at and beyond n are cleared, and no
+  /// value at or beyond n is read.
+  void (*select_f64)(const double* values, unsigned n, double lo, double hi,
+                     bool lo_open, bool hi_open, uint64_t* bitmap);
+
+  /// Survivor compaction: copies values[i] for each set bit i < n of
+  /// `bitmap` to out[0..count) in ascending index order and returns count.
+  /// Bits at and beyond n are ignored. `out` needs room for n values and
+  /// may equal `values` (in-place compaction); entries of `out` past count
+  /// are left unspecified.
+  unsigned (*compact64)(const double* values, unsigned n,
+                        const uint64_t* bitmap, double* out);
 };
 
 /// Whether the running CPU can execute \p tier (hardware probe only).
@@ -198,20 +215,6 @@ inline void RdDecodeFused(const typename AlpTraits<T>::Uint* packed_right,
     Active().rd_fused32(packed_right, packed_codes, right_bits, dict_width,
                         dict_shifted, out);
   }
-}
-
-/// Active-tier packed range compare (see DecodeKernels::cmp_range64).
-inline void CmpRangePacked64(const uint64_t* packed, unsigned width,
-                             uint64_t t_lo, uint64_t t_hi, uint64_t* lanes,
-                             uint64_t* bitmap) {
-  Active().cmp_range64(packed, width, t_lo, t_hi, lanes, bitmap);
-}
-
-/// Active-tier selective materialization (see DecodeKernels::gather64).
-inline unsigned GatherSelected64(const uint64_t* lanes, uint64_t base,
-                                 double f10_f, double if10_e,
-                                 const uint64_t* bitmap, double* out) {
-  return Active().gather64(lanes, base, f10_f, if10_e, bitmap, out);
 }
 
 template <typename T>

@@ -178,6 +178,67 @@ void CmpMask64(const uint64_t* vals, uint64_t t_lo, uint64_t t_hi,
   }
 }
 
+// Double range selection: ordered-quiet compares (a NaN operand compares
+// false, matching Predicate::Matches); movemask_pd harvests 4 lanes.
+template <bool LoOpen, bool HiOpen>
+uint64_t SelectWord64(const double* v, double lo, double hi) {
+  const __m256d l = _mm256_set1_pd(lo);
+  const __m256d h = _mm256_set1_pd(hi);
+  uint64_t bits = 0;
+  for (unsigned j = 0; j < 64; j += 4) {
+    const __m256d x = _mm256_loadu_pd(v + j);
+    const __m256d in =
+        _mm256_and_pd(_mm256_cmp_pd(x, l, LoOpen ? _CMP_GT_OQ : _CMP_GE_OQ),
+                      _mm256_cmp_pd(x, h, HiOpen ? _CMP_LT_OQ : _CMP_LE_OQ));
+    bits |= static_cast<uint64_t>(_mm256_movemask_pd(in)) << j;
+  }
+  return bits;
+}
+
+// Compaction permutes for every 4-lane mask: 32-bit lane indices for
+// vpermps (each double is a pair of 32-bit lanes) moving the selected
+// doubles to the front, plus the mask's survivor count.
+struct CompactEntry {
+  alignas(32) uint32_t perm[8];
+  unsigned count;
+};
+
+constexpr auto kCompact4 = [] {
+  std::array<CompactEntry, 16> t{};
+  for (unsigned m = 0; m < 16; ++m) {
+    unsigned k = 0;
+    for (unsigned lane = 0; lane < 4; ++lane) {
+      if (!(m & (1u << lane))) continue;
+      t[m].perm[2 * k] = 2 * lane;
+      t[m].perm[2 * k + 1] = 2 * lane + 1;
+      ++k;
+    }
+    for (unsigned rest = k; rest < 4; ++rest) {
+      t[m].perm[2 * rest] = 0;
+      t[m].perm[2 * rest + 1] = 1;
+    }
+    t[m].count = k;
+  }
+  return t;
+}();
+
+// Permute the survivors to the front, then one full-width unaligned store
+// at the survivor cursor (which trails the read position, so the store
+// never passes this 4-lane chunk).
+unsigned CompactWord64(const double* v, uint64_t bits, double* out) {
+  if (bits == 0) return 0;
+  unsigned k = 0;
+  for (unsigned j = 0; j < 64; j += 4) {
+    const CompactEntry& e = kCompact4[(bits >> j) & 0xF];
+    const __m256 x = _mm256_castpd_ps(_mm256_loadu_pd(v + j));
+    const __m256i idx =
+        _mm256_load_si256(reinterpret_cast<const __m256i*>(e.perm));
+    _mm256_storeu_pd(out + k, _mm256_castps_pd(_mm256_permutevar8x32_ps(x, idx)));
+    k += e.count;
+  }
+  return k;
+}
+
 #include "alp/kernels/kernel_body.inc"
 
 }  // namespace

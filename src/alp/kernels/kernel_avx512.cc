@@ -157,6 +157,47 @@ void CmpMask64(const uint64_t* vals, uint64_t t_lo, uint64_t t_hi,
   }
 }
 
+// Double range selection: two ordered-quiet mask compares per 8 lanes
+// (a NaN operand compares false, matching Predicate::Matches).
+template <bool LoOpen, bool HiOpen>
+uint64_t SelectWord64(const double* v, double lo, double hi) {
+  const __m512d l = _mm512_set1_pd(lo);
+  const __m512d h = _mm512_set1_pd(hi);
+  uint64_t bits = 0;
+  for (unsigned j = 0; j < 64; j += 8) {
+    const __m512d x = _mm512_loadu_pd(v + j);
+    const __mmask8 above =
+        _mm512_cmp_pd_mask(x, l, LoOpen ? _CMP_GT_OQ : _CMP_GE_OQ);
+    const __mmask8 in =
+        _mm512_mask_cmp_pd_mask(above, x, h, HiOpen ? _CMP_LT_OQ : _CMP_LE_OQ);
+    bits |= static_cast<uint64_t>(in) << j;
+  }
+  return bits;
+}
+
+// Set-bit counts of every 8-lane mask (popcnt is not part of this TU's
+// target flags, and a libgcc call per mask would dominate the loop).
+constexpr auto kMaskCount8 = [] {
+  std::array<uint8_t, 256> t{};
+  for (unsigned m = 0; m < 256; ++m) t[m] = static_cast<uint8_t>(std::popcount(m));
+  return t;
+}();
+
+// vcompresspd into a register, then one full-width unaligned store at the
+// survivor cursor: the lanes past the survivors are overwritten by the
+// next store (or left unspecified), and never reach past this 8-lane
+// chunk's own position since the cursor trails the read position.
+unsigned CompactWord64(const double* v, uint64_t bits, double* out) {
+  if (bits == 0) return 0;
+  unsigned k = 0;
+  for (unsigned j = 0; j < 64; j += 8) {
+    const __mmask8 m = static_cast<__mmask8>(bits >> j);
+    _mm512_storeu_pd(out + k, _mm512_maskz_compress_pd(m, _mm512_loadu_pd(v + j)));
+    k += kMaskCount8[m];
+  }
+  return k;
+}
+
 #include "alp/kernels/kernel_body.inc"
 
 }  // namespace

@@ -95,6 +95,34 @@ void CmpMask64(const uint64_t* vals, uint64_t t_lo, uint64_t t_hi,
   }
 }
 
+// Double range selection: vcge/vcgt/vcle/vclt are ordered compares (a NaN
+// operand yields a clear mask lane, matching Predicate::Matches).
+template <bool LoOpen, bool HiOpen>
+uint64_t SelectWord64(const double* v, double lo, double hi) {
+  const float64x2_t l = vdupq_n_f64(lo);
+  const float64x2_t h = vdupq_n_f64(hi);
+  uint64_t bits = 0;
+  for (unsigned j = 0; j < 64; j += 2) {
+    const float64x2_t x = vld1q_f64(v + j);
+    const uint64x2_t above = LoOpen ? vcgtq_f64(x, l) : vcgeq_f64(x, l);
+    const uint64x2_t below = HiOpen ? vcltq_f64(x, h) : vcleq_f64(x, h);
+    const uint64x2_t in = vandq_u64(above, below);
+    bits |= (vgetq_lane_u64(in, 0) & 1u) << j;
+    bits |= (vgetq_lane_u64(in, 1) & 1u) << (j + 1);
+  }
+  return bits;
+}
+
+// NEON has no compress instruction: branch-free store-and-advance.
+unsigned CompactWord64(const double* v, uint64_t bits, double* out) {
+  unsigned k = 0;
+  for (unsigned i = 0; i < 64; ++i, bits >>= 1) {
+    out[k] = v[i];
+    k += static_cast<unsigned>(bits & 1u);
+  }
+  return k;
+}
+
 #include "alp/kernels/kernel_body.inc"
 
 }  // namespace

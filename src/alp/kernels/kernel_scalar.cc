@@ -154,9 +154,57 @@ unsigned Gather64(const uint64_t* lanes, uint64_t base, double f10_f,
   return k;
 }
 
+// Double range selection, one branch-free 64-value bitmap word at a time;
+// the reference the SIMD tiers' select kernels are tested against.
+template <bool LoOpen, bool HiOpen>
+void SelectF64Impl(const double* values, unsigned n, double lo, double hi,
+                   uint64_t* bitmap) {
+  for (unsigned w = 0; w < kVectorSize / 64; ++w) {
+    const unsigned begin = w * 64;
+    const unsigned end = n < begin + 64 ? n : begin + 64;
+    uint64_t bits = 0;
+    for (unsigned i = begin; i < end; ++i) {
+      const double v = values[i];
+      // `&`, not `&&`: both compares always run, so no branch on the data.
+      const bool in = (LoOpen ? v > lo : v >= lo) & (HiOpen ? v < hi : v <= hi);
+      bits |= static_cast<uint64_t>(in) << (i - begin);
+    }
+    bitmap[w] = bits;
+  }
+}
+
+void SelectF64(const double* values, unsigned n, double lo, double hi,
+               bool lo_open, bool hi_open, uint64_t* bitmap) {
+  if (lo_open) {
+    hi_open ? SelectF64Impl<true, true>(values, n, lo, hi, bitmap)
+            : SelectF64Impl<true, false>(values, n, lo, hi, bitmap);
+  } else {
+    hi_open ? SelectF64Impl<false, true>(values, n, lo, hi, bitmap)
+            : SelectF64Impl<false, false>(values, n, lo, hi, bitmap);
+  }
+}
+
+// Branch-free store-and-advance: every value is written to out[k] and k
+// advances only past survivors, so the loop has no data-dependent branch.
+// k <= i throughout, which is what makes in-place compaction safe.
+unsigned Compact64(const double* values, unsigned n, const uint64_t* bitmap,
+                   double* out) {
+  unsigned k = 0;
+  for (unsigned begin = 0; begin < n; begin += 64) {
+    uint64_t bits = bitmap[begin / 64];
+    const unsigned end = n < begin + 64 ? n : begin + 64;
+    for (unsigned i = begin; i < end; ++i, bits >>= 1) {
+      out[k] = values[i];
+      k += static_cast<unsigned>(bits & 1u);
+    }
+  }
+  return k;
+}
+
 constexpr DecodeKernels kKernels = {
-    Tier::kScalar, AlpFused64, AlpFused32, Patch64,  Patch32,
-    RdFused64,     RdFused32,  RdGlue64,   RdGlue32, CmpRange64, Gather64,
+    Tier::kScalar, AlpFused64, AlpFused32, Patch64,    Patch32,
+    RdFused64,     RdFused32,  RdGlue64,   RdGlue32,   CmpRange64,
+    Gather64,      SelectF64,  Compact64,
 };
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "alp/pushdown.h"
 
 #include <bit>
-#include <cstring>
 
 #include "alp/kernel_dispatch.h"
 #include "obs/metrics.h"
@@ -40,23 +39,19 @@ void ClearTail(uint64_t* bitmap, unsigned len) {
 // Exception slots hold placeholder integers; their bitmap bits are decided
 // from the exception *values* instead. List order so later entries win on
 // (never encoder-produced) duplicate positions, matching patch semantics.
-// Returns whether any exception position ended up selected.
-bool FixupExceptionBits(const ColumnReader<double>::PackedVectorView& view,
+void FixupExceptionBits(const ColumnReader<double>::PackedVectorView& view,
                         const TranslatedPredicate& pred, unsigned len,
                         uint64_t* bitmap) {
-  bool any = false;
   for (unsigned i = 0; i < view.exc_count; ++i) {
     const unsigned pos = view.exc_positions[i];
     if (pos >= len) continue;
     const uint64_t bit = uint64_t{1} << (pos % 64);
     if (pred.Matches(std::bit_cast<double>(view.exc_bits[i]))) {
       bitmap[pos / 64] |= bit;
-      any = true;
     } else {
       bitmap[pos / 64] &= ~bit;
     }
   }
-  return any;
 }
 
 unsigned PopcountBitmap(const uint64_t* bitmap) {
@@ -77,16 +72,39 @@ unsigned Rank(const uint64_t* bitmap, unsigned pos) {
                  std::popcount(bitmap[pos / 64] & ((uint64_t{1} << (pos % 64)) - 1)));
 }
 
-// Overwrites the gather's placeholder decodes at selected exception
-// positions with the actual exception values.
-void PatchSurvivors(const ColumnReader<double>::PackedVectorView& view,
-                    unsigned len, const uint64_t* bitmap, double* values) {
+// Materializes the survivors of an FFOR-packed vector per `bitmap`
+// (`selected` set bits, none at or beyond view.n) into out[], ascending.
+// Dense selections decode the whole vector with the fused SIMD kernel and
+// compact it in place; sparse ones gather survivor by survivor from
+// scratch->lanes (unpacked here unless `lanes_unpacked`, through the
+// compare kernel with the full range; its side bitmap lands in
+// scratch->bitmap, so `bitmap` must not be scratch->bitmap then) and patch
+// the selected exception positions.
+unsigned MaterializeSurvivors(const ColumnReader<double>& reader, size_t v,
+                              const ColumnReader<double>::PackedVectorView& view,
+                              const uint64_t* bitmap, unsigned selected,
+                              bool lanes_unpacked, EvalScratch* scratch,
+                              double* out) {
+  const kernels::DecodeKernels& k = kernels::Active();
+  if (selected * kDenseGatherDivisor >= view.n) {
+    reader.DecodeVector(v, out);
+    return selected == view.n ? selected : k.compact64(out, view.n, bitmap, out);
+  }
+  if (!lanes_unpacked) {
+    k.cmp_range64(view.packed, view.ffor.width, 0, ~uint64_t{0}, scratch->lanes,
+                  scratch->bitmap);
+  }
+  const double f10_f = AlpTraits<double>::kF10[view.c.f];
+  const double if10_e = AlpTraits<double>::kIF10[view.c.e];
+  const unsigned count =
+      k.gather64(scratch->lanes, view.ffor.base, f10_f, if10_e, bitmap, out);
   for (unsigned i = 0; i < view.exc_count; ++i) {
     const unsigned pos = view.exc_positions[i];
-    if (pos >= len) continue;
+    if (pos >= view.n) continue;
     if (!(bitmap[pos / 64] & (uint64_t{1} << (pos % 64)))) continue;
-    values[Rank(bitmap, pos)] = std::bit_cast<double>(view.exc_bits[i]);
+    out[Rank(bitmap, pos)] = std::bit_cast<double>(view.exc_bits[i]);
   }
+  return count;
 }
 
 // Packed-domain view + applicable lane range, or nothing (fallback).
@@ -103,6 +121,19 @@ PackedPlan PlanPacked(const ColumnReader<double>& reader, size_t v,
   plan.range = ToLaneRange(pred.Bounds(plan.view.c), plan.view.ffor);
   plan.ok = plan.range.applicable;
   return plan;
+}
+
+// Packed compare + exception fixup into `bitmap`, leaving the unpacked
+// lanes in `lanes` for a following gather. An empty lane range still
+// unpacks (with the unsatisfiable [1, 0]); only exceptions can qualify.
+void SelectPacked(const PackedPlan& plan, const TranslatedPredicate& pred,
+                  uint64_t* lanes, uint64_t* bitmap) {
+  const uint64_t lo = plan.range.empty ? 1 : plan.range.lo;
+  const uint64_t hi = plan.range.empty ? 0 : plan.range.hi;
+  kernels::Active().cmp_range64(plan.view.packed, plan.view.ffor.width, lo, hi,
+                                lanes, bitmap);
+  ClearTail(bitmap, plan.view.n);
+  FixupExceptionBits(plan.view, pred, plan.view.n, bitmap);
 }
 
 }  // namespace
@@ -127,75 +158,24 @@ bool FilterSumVector(const ColumnReader<double>& reader, size_t v,
                      double* sum, VectorCounters* counters) {
   const PackedPlan plan = PlanPacked(reader, v, pred);
   if (plan.ok) {
-    const unsigned len = plan.view.n;
-    ALP_OBS_SPAN(span, "engine.pushdown.packed", len);
+    ALP_OBS_SPAN(span, "engine.pushdown.packed", plan.view.n);
     ++counters->packed_eval;
     NotePackedEval();
-    SurvivorSum ss;
-    if (plan.range.empty) {
-      // No lane can qualify; only exception values (ascending positions,
-      // hence index order) can match.
-      for (unsigned i = 0; i < plan.view.exc_count; ++i) {
-        if (plan.view.exc_positions[i] >= len) continue;
-        const double x = std::bit_cast<double>(plan.view.exc_bits[i]);
-        if (pred.Matches(x)) ss.Add(x);
-      }
-      *sum += ss.Reduce();
-      return true;
-    }
-    const kernels::DecodeKernels& k = kernels::Active();
-    k.cmp_range64(plan.view.packed, plan.view.ffor.width, plan.range.lo,
-                  plan.range.hi, scratch->lanes, scratch->bitmap);
-    ClearTail(scratch->bitmap, len);
-    const bool exc_selected =
-        FixupExceptionBits(plan.view, pred, len, scratch->bitmap);
-    const unsigned selected = PopcountBitmap(scratch->bitmap);
-    if (selected == len) {
-      // Everything survives (but the zone map couldn't prove it up front,
-      // e.g. exceptions in range): fused SIMD decode + vectorized striped
-      // sum, no gather and no predicate.
-      reader.DecodeVector(v, scratch->values);
-      *sum += StripedSumAll(scratch->values, len);
-      return true;
-    }
-    if (selected * 4 >= len * 3) {
-      // Dense selection: the fused SIMD decode beats a survivor-at-a-time
-      // gather when most lanes survive anyway. The bitmap (already exact:
-      // packed compare + exception fixup) drives the oracle's predicated
-      // striped loop over the decoded values.
-      reader.DecodeVector(v, scratch->values);
-      for (unsigned i = 0; i < len; ++i) {
-        const bool bit =
-            (scratch->bitmap[i / 64] >> (i % 64)) & 1u;
-        ss.AddPredicated(scratch->values[i], bit);
-      }
-      *sum += ss.Reduce();
-      return true;
-    }
-    const double f10_f = AlpTraits<double>::kF10[plan.view.c.f];
-    const double if10_e = AlpTraits<double>::kIF10[plan.view.c.e];
-    const unsigned count = k.gather64(scratch->lanes, plan.view.ffor.base,
-                                      f10_f, if10_e, scratch->bitmap,
-                                      scratch->values);
-    if (exc_selected) {
-      PatchSurvivors(plan.view, len, scratch->bitmap, scratch->values);
-    }
+    SelectPacked(plan, pred, scratch->lanes, scratch->bitmap);
+    const unsigned count = MaterializeSurvivors(
+        reader, v, plan.view, scratch->bitmap, PopcountBitmap(scratch->bitmap),
+        /*lanes_unpacked=*/true, scratch, scratch->values);
     *sum += StripedSumAll(scratch->values, count);
     return true;
   }
 
-  // Decode-then-filter fallback: exactly the oracle loop.
+  // Decode-then-filter fallback: select, compact, striped sum.
   const unsigned len = reader.VectorLength(v);
   ALP_OBS_SPAN(span, "engine.pushdown.decode", len);
   ++counters->decoded;
   NoteMaterialized();
   reader.DecodeVector(v, scratch->values);
-  SurvivorSum ss;
-  for (unsigned i = 0; i < len; ++i) {
-    const double x = scratch->values[i];
-    ss.AddPredicated(x, pred.Matches(x));
-  }
-  *sum += ss.Reduce();
+  *sum += FilterSumValues(scratch->values, len, pred.pred(), scratch);
   return false;
 }
 
@@ -204,20 +184,10 @@ bool SelectVector(const ColumnReader<double>& reader, size_t v,
                   uint64_t* bitmap, unsigned* count, VectorCounters* counters) {
   const PackedPlan plan = PlanPacked(reader, v, pred);
   if (plan.ok) {
-    const unsigned len = plan.view.n;
-    ALP_OBS_SPAN(span, "engine.pushdown.packed", len);
+    ALP_OBS_SPAN(span, "engine.pushdown.packed", plan.view.n);
     ++counters->packed_eval;
     NotePackedEval();
-    if (plan.range.empty) {
-      std::memset(bitmap, 0, kBitmapWords * sizeof(uint64_t));
-      FixupExceptionBits(plan.view, pred, len, bitmap);
-    } else {
-      kernels::Active().cmp_range64(plan.view.packed, plan.view.ffor.width,
-                                    plan.range.lo, plan.range.hi,
-                                    scratch->lanes, bitmap);
-      ClearTail(bitmap, len);
-      FixupExceptionBits(plan.view, pred, len, bitmap);
-    }
+    SelectPacked(plan, pred, scratch->lanes, bitmap);
     *count = PopcountBitmap(bitmap);
     return true;
   }
@@ -227,15 +197,7 @@ bool SelectVector(const ColumnReader<double>& reader, size_t v,
   ++counters->decoded;
   NoteMaterialized();
   reader.DecodeVector(v, scratch->values);
-  std::memset(bitmap, 0, kBitmapWords * sizeof(uint64_t));
-  unsigned n = 0;
-  for (unsigned i = 0; i < len; ++i) {
-    if (pred.Matches(scratch->values[i])) {
-      bitmap[i / 64] |= uint64_t{1} << (i % 64);
-      ++n;
-    }
-  }
-  *count = n;
+  *count = SelectValues(scratch->values, len, pred.pred(), bitmap);
   return false;
 }
 
@@ -245,22 +207,8 @@ unsigned GatherVector(const ColumnReader<double>& reader, size_t v,
   ColumnReader<double>::PackedVectorView view;
   if (reader.GetPackedVectorView(v, &view)) {
     ALP_OBS_SPAN(span, "engine.pushdown.gather", view.n);
-    // Unpack the lanes through the compare kernel with the full range
-    // (the all-ones side bitmap is discarded); then gather the selection.
-    const kernels::DecodeKernels& k = kernels::Active();
-    k.cmp_range64(view.packed, view.ffor.width, 0, ~uint64_t{0},
-                  scratch->lanes, scratch->bitmap);
-    const double f10_f = AlpTraits<double>::kF10[view.c.f];
-    const double if10_e = AlpTraits<double>::kIF10[view.c.e];
-    const unsigned count = k.gather64(scratch->lanes, view.ffor.base, f10_f,
-                                      if10_e, bitmap, out);
-    for (unsigned i = 0; i < view.exc_count; ++i) {
-      const unsigned pos = view.exc_positions[i];
-      if (pos >= view.n) continue;
-      if (!(bitmap[pos / 64] & (uint64_t{1} << (pos % 64)))) continue;
-      out[Rank(bitmap, pos)] = std::bit_cast<double>(view.exc_bits[i]);
-    }
-    return count;
+    return MaterializeSurvivors(reader, v, view, bitmap, PopcountBitmap(bitmap),
+                                /*lanes_unpacked=*/false, scratch, out);
   }
 
   const unsigned len = reader.VectorLength(v);
@@ -268,13 +216,22 @@ unsigned GatherVector(const ColumnReader<double>& reader, size_t v,
   ++counters->decoded;
   NoteMaterialized();
   reader.DecodeVector(v, scratch->values);
-  unsigned count = 0;
-  for (unsigned i = 0; i < len; ++i) {
-    if (bitmap[i / 64] & (uint64_t{1} << (i % 64))) {
-      out[count++] = scratch->values[i];
-    }
-  }
-  return count;
+  return kernels::Active().compact64(scratch->values, len, bitmap, out);
+}
+
+unsigned SelectValues(const double* values, unsigned n, const Predicate& pred,
+                      uint64_t* bitmap) {
+  kernels::Active().select_f64(values, n, pred.lo, pred.hi, pred.lo_open,
+                               pred.hi_open, bitmap);
+  return PopcountBitmap(bitmap);
+}
+
+double FilterSumValues(const double* values, unsigned n, const Predicate& pred,
+                       EvalScratch* scratch) {
+  SelectValues(values, n, pred, scratch->bitmap);
+  const unsigned count = kernels::Active().compact64(values, n, scratch->bitmap,
+                                                     scratch->values);
+  return StripedSumAll(scratch->values, count);
 }
 
 void NoteSkippedVectors(size_t n) {

@@ -9,26 +9,41 @@
 #include "alp/predicate.h"
 
 /// \file pushdown.h
-/// Per-vector compressed-domain predicate evaluation, shared by the engine
-/// operators, the out-of-core reader and the server: a translated range
-/// predicate (alp/predicate.h) is evaluated directly on a vector's
-/// FFOR-packed lanes via the dispatched compare kernel, producing a
-/// 1024-bit selection bitmap; exceptions are resolved from the position
-/// list only, and survivors are late-materialized with the gather kernel.
+/// Per-vector compressed-domain predicate evaluation and the one summation
+/// path, shared by the engine operators, the out-of-core reader and the
+/// server: a translated range predicate (alp/predicate.h) is evaluated
+/// directly on a vector's FFOR-packed lanes via the dispatched compare
+/// kernel, producing a 1024-bit selection bitmap; exceptions are resolved
+/// from the position list only, and survivors are late-materialized.
 ///
 /// Selection-vector format: 16 little-endian uint64 words, bit i of word
 /// i/64 = lane i qualifies. Tail bits at and beyond the vector length are
 /// always clear.
 ///
-/// Bit-identity contract: every function here produces results bitwise
-/// identical to the decode-then-filter oracle at every kernel tier. The
-/// oracle is defined per vector as a *striped survivor sum* (SurvivorSum
-/// below): survivors in ascending index order are added round-robin into 8
-/// accumulators keyed by survivor ordinal, reduced by a fixed tree, and
-/// the vector's reduction is added to the running query sum. Eight
-/// independent accumulators break the loop-carried FP-add latency chain a
-/// single serial sum would impose — the whole point of late materializing
-/// into a compacted array — while staying fully deterministic.
+/// Summation contract: every filtered and unfiltered sum runs
+/// select → compact → striped sum. A bitmap (from the packed compare, or
+/// from the dispatched select_f64 kernel over decoded values) drives the
+/// compact64 kernel, which moves the survivors to the front of a buffer in
+/// ascending index order, and StripedSumAll adds that compacted array into
+/// 8 accumulators keyed by survivor ordinal, reduced by a fixed tree. The
+/// oracle every path must match bitwise is SurvivorSum below (the
+/// predicated loop, kept as the definition the tests check against):
+/// StripedSumAll over the compacted survivors *is* SurvivorSum fed the same
+/// survivors, so no path pays a 1024-deep serial FP-add chain or a
+/// data-dependent stripe index, and none depends on the kernel tier.
+///
+/// Late materialization picks by survivor density: at or above
+/// 1/kDenseGatherDivisor of the vector's lanes the fused SIMD decode plus an
+/// in-place compact64 is cheaper than the survivor-at-a-time gather, below
+/// it the gather kernel decodes only the selected lanes. Both produce the
+/// same survivor array, bit for bit.
+///
+/// Query fold: a rowgroup's partial is the in-order sum of its vectors'
+/// striped sums, and a query's sum is the in-order sum of its rowgroup
+/// partials (one slot per rowgroup, folded in rowgroup order after the
+/// workers join). The engine, the seekable reader and the server all fold
+/// this way, so a sum depends on neither the thread count, the morsel
+/// schedule, the cache state, the kernel tier nor the route.
 ///
 /// Skipping a non-survivor's `+= 0.0` (or a skipped vector's `+= +0.0`
 /// reduction) is exact because an accumulator that starts at +0.0 can
@@ -36,7 +51,9 @@
 /// and exact cancellation of non-zero addends yields +0.0), and x + 0.0
 /// == x for every x except -0.0.
 ///
-/// Fallback matrix — these decode-then-filter per vector, bit-identically:
+/// Fallback matrix — these decode-then-filter per vector (select_f64 over
+/// the decoded values, then the same compact and striped sum), bit-
+/// identically:
 ///   - ALP_rd rowgroups (lanes are bit-split raw doubles, not decimals;
 ///     RD also round-trips NaN *without* exceptions),
 ///   - Delta-encoded vectors (no frame-of-reference lane domain),
@@ -57,6 +74,12 @@ struct VectorCounters {
   size_t full_inside = 0;  ///< vectors summed whole via the zone-map proof
 };
 
+/// Survivor density at which late materialization switches from the gather
+/// kernel to fused decode + compact64: at least 1/kDenseGatherDivisor of the
+/// vector's lanes selected. Picked from the bench_pushdown density sweep
+/// (DESIGN.md §9); a constant, not a knob.
+inline constexpr unsigned kDenseGatherDivisor = 8;
+
 /// Reusable per-worker scratch: unpacked lanes (filled by the compare
 /// kernel, reused by the gather so lanes unpack once), survivor values,
 /// and a spare bitmap.
@@ -69,10 +92,10 @@ struct EvalScratch {
 /// The canonical per-vector filtered-sum accumulator — THE definition of
 /// the oracle every execution path must match bitwise. Survivors (in
 /// ascending index order) go round-robin into 8 accumulators keyed by
-/// survivor ordinal; Reduce() folds them with a fixed tree. Every path —
-/// packed-lane, decode-then-filter, cache-hit, full-inside — feeds the
-/// same survivor sequence through this same structure, so their results
-/// are bitwise equal while no path pays a 1024-deep serial FP-add chain.
+/// survivor ordinal; Reduce() folds them with a fixed tree. No execution
+/// path runs this loop (its stripe index depends on the data, so it is
+/// serial); they all compact and call StripedSumAll, which the tests check
+/// against this definition.
 struct SurvivorSum {
   double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
   unsigned k = 0;  ///< Survivor ordinal (stripe cursor).
@@ -150,14 +173,42 @@ bool SelectVector(const ColumnReader<double>& reader, size_t v,
                   const TranslatedPredicate& pred, EvalScratch* scratch,
                   uint64_t* bitmap, unsigned* count, VectorCounters* counters);
 
-/// Materializes vector \p v's survivors per \p bitmap into out[] in
-/// ascending index order, returning the survivor count. Works for any
-/// selection bitmap (the predicate is not needed); packs through the
-/// gather kernel when the vector is FFOR-packed, else decodes and
-/// compacts.
+/// Materializes vector \p v's survivors per \p bitmap into out[] (room
+/// for kVectorSize values) in ascending index order, returning the
+/// survivor count. Works for any selection bitmap (the predicate is not
+/// needed). FFOR-packed vectors go through the gather kernel, or, at or
+/// above the kDenseGatherDivisor density, fused decode + compact64; other
+/// vectors decode and compact. \p bitmap must not be scratch->bitmap (the
+/// sparse gather unpacks lanes through the compare kernel, whose side
+/// bitmap lands there).
 unsigned GatherVector(const ColumnReader<double>& reader, size_t v,
                       const uint64_t* bitmap, EvalScratch* scratch,
                       double* out, VectorCounters* counters);
+
+/// Bitmap of the values[0..n) that satisfy \p pred (dispatched select_f64;
+/// exactly Predicate::Matches per value); returns the survivor count.
+unsigned SelectValues(const double* values, unsigned n, const Predicate& pred,
+                      uint64_t* bitmap);
+
+/// The filtered sum of one vector's decoded values[0..n): SelectValues
+/// into scratch->bitmap, compact64 into scratch->values (\p values may be
+/// scratch->values: the compaction runs in place), then StripedSumAll.
+/// Bitwise equal to the SurvivorSum oracle fed the values that match.
+double FilterSumValues(const double* values, unsigned n, const Predicate& pred,
+                       EvalScratch* scratch);
+
+/// Per-vector striped sums of values[0..n) (vector boundaries every
+/// kVectorSize values) added in order: a rowgroup's unfiltered partial
+/// under the summation contract.
+inline double StripedSumVectors(const double* values, size_t n) {
+  double sum = 0.0;
+  for (size_t i = 0; i < n; i += kVectorSize) {
+    const unsigned len =
+        static_cast<unsigned>(n - i < kVectorSize ? n - i : kVectorSize);
+    sum += StripedSumAll(values + i, len);
+  }
+  return sum;
+}
 
 /// Records zone-map-skipped vectors on the obs counter
 /// engine.pushdown.vectors_skipped (no-op without ALP_OBS).

@@ -1,93 +1,37 @@
 #include "engine/operators.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <limits>
-#include <mutex>
-#include <vector>
 
 #include "alp/pushdown.h"
-#include "obs/flight_recorder.h"
-#include "util/aligned_buffer.h"
+#include "engine/morsel.h"
 #include "util/cycle_clock.h"
-#include "util/fault_injection.h"
 
 namespace alp::engine {
 namespace {
 
-/// Runs \p per_rowgroup over all rowgroups with morsel-driven parallelism
-/// and returns the per-thread double results summed together. The callback
-/// signature is Status(rg, buffer, acc): it adds its contribution to *acc
-/// and reports decode failures (the out-of-core path is fallible — chunk
-/// reads can hit I/O errors, checksum mismatches and fault sites).
-///
-/// Cancellation/faults: before claiming each morsel a worker polls \p ctx
-/// and the engine.rowgroup fault site, and the morsel body's own Status
-/// feeds the same machinery. The first worker to observe a failure raises
-/// the abort flag so the others stop claiming morsels; when several morsels
-/// fail in one sweep the lowest-indexed one's Status is reported (matching
-/// the first failure a serial scan would see).
+/// The engine's morsel loop over one column's rowgroups (engine/morsel.h):
+/// one partial slot per rowgroup, folded in rowgroup order.
 template <typename PerRowgroup>
 QueryResult RunParallel(const StoredColumn& column, ThreadPool& pool,
                         const OpContext* ctx, const PerRowgroup& per_rowgroup) {
-  const size_t rowgroups = column.rowgroup_count();
-  std::atomic<size_t> next{0};
-  std::vector<double> partials(pool.size(), 0.0);
-  std::atomic<bool> abort{false};
-  std::mutex fail_mu;
-  size_t fail_rg = ~size_t{0};
-  Status fail_status;
+  return internal::RunMorsels(column.rowgroup_count(), column.value_count(),
+                              pool, ctx, per_rowgroup);
+}
 
-  const uint64_t start = CycleNow();
-  pool.Run([&](unsigned worker) {
-    double local = 0.0;
-    // Each worker gets a private decode buffer (vector-at-a-time consumers
-    // in Tectorwise own their vector chunk). Cache-line aligned so the
-    // dispatched decode kernels take their aligned-store path: every
-    // vector lands at a multiple of 1024 values from the aligned start.
-    AlignedBuffer<double> buffer(kRowgroupSize);
-    while (!abort.load(std::memory_order_relaxed)) {
-      const size_t rg = next.fetch_add(1, std::memory_order_relaxed);
-      if (rg >= rowgroups) break;
-      Status s = ctx != nullptr ? ctx->Check() : Status::Ok();
-      if (s.ok()) s = fault::Check("engine.rowgroup");
-      if (s.ok()) s = per_rowgroup(rg, buffer.data(), &local);
-      if (!s.ok()) {
-        std::lock_guard<std::mutex> lock(fail_mu);
-        if (rg < fail_rg) {
-          fail_rg = rg;
-          fail_status = std::move(s);
-        }
-        abort.store(true, std::memory_order_relaxed);
-        break;
-      }
-    }
-    partials[worker] = local;
-  });
-  const uint64_t cycles = CycleNow() - start;
-
-#if ALP_OBS
-  // Flight-recorder attribution happens here, after the join, from the
-  // orchestrating thread only: the recorder is single-writer and the pool
-  // workers above must never touch it (they also run without the ambient
-  // attribution TLS, so their ScopedTimers stay recorder-free).
-  if (ctx != nullptr && ctx->request != nullptr &&
-      ctx->request->recorder != nullptr) {
-    obs::FlightRecorder* recorder = ctx->request->recorder;
-    recorder->Annotate("engine.rowgroups", rowgroups);
-    recorder->Annotate("engine.threads", pool.size());
-    recorder->Span("engine.parallel", start, start + cycles,
-                   column.value_count());
+/// Filtered sum of one rowgroup's values, vector by vector (the oracle
+/// stripes per vector, so every storage scheme chunks the same way).
+double FilterSumRowgroupValues(const double* values, unsigned len,
+                               const Predicate& pred,
+                               pushdown::EvalScratch* scratch) {
+  double sum = 0.0;
+  for (unsigned v0 = 0; v0 < len; v0 += kVectorSize) {
+    const unsigned n = std::min<unsigned>(kVectorSize, len - v0);
+    sum += pushdown::FilterSumValues(values + v0, n, pred, scratch);
   }
-#endif
-
-  QueryResult result;
-  result.status = std::move(fail_status);
-  for (double p : partials) result.sum += p;
-  result.cycles = cycles;
-  result.tuples = column.value_count();
-  result.threads = pool.size();
-  return result;
+  return sum;
 }
 
 }  // namespace
@@ -110,27 +54,31 @@ QueryResult RunScan(const StoredColumn& column, ThreadPool& pool,
 
 QueryResult RunSum(const StoredColumn& column, ThreadPool& pool,
                    const OpContext* ctx) {
-  const double* raw0 = column.RowgroupPointer(0);
-  if (raw0 != nullptr) {
-    // Uncompressed columns aggregate in place (no buffer-pool copy).
-    return RunParallel(column, pool, ctx,
-                       [&](size_t rg, double*, double* acc) {
-                         const double* data = column.RowgroupPointer(rg);
-                         const unsigned len = column.RowgroupLength(rg);
-                         double sum = 0.0;
-                         for (unsigned i = 0; i < len; ++i) sum += data[i];
-                         *acc += sum;
-                         return Status::Ok();
-                       });
-  }
+  // Every route sums a rowgroup as its vectors' striped sums in order
+  // (pushdown.h), so the result matches the seekable reader and the server.
+  const ColumnReader<double>* in_memory =
+      column.Seekable() == nullptr ? column.AlpReader() : nullptr;
   return RunParallel(
       column, pool, ctx, [&](size_t rg, double* buffer, double* acc) {
         const unsigned len = column.RowgroupLength(rg);
-        Status s = column.TryDecodeRowgroup(rg, buffer, ctx);
-        if (!s.ok()) return s;
-        double sum = 0.0;
-        for (unsigned i = 0; i < len; ++i) sum += buffer[i];
-        *acc += sum;
+        if (in_memory != nullptr) {
+          // Decode and sum a vector at a time, while it is still in L1.
+          const size_t first = rg * kRowgroupVectors;
+          const size_t last = first + (len + kVectorSize - 1) / kVectorSize;
+          for (size_t v = first; v < last; ++v) {
+            in_memory->DecodeVector(v, buffer);
+            *acc += pushdown::StripedSumAll(buffer, in_memory->VectorLength(v));
+          }
+          return Status::Ok();
+        }
+        // Uncompressed columns aggregate in place (no buffer-pool copy).
+        const double* data = column.RowgroupPointer(rg);
+        if (data == nullptr) {
+          Status s = column.TryDecodeRowgroup(rg, buffer, ctx);
+          if (!s.ok()) return s;
+          data = buffer;
+        }
+        *acc += pushdown::StripedSumVectors(data, len);
         return Status::Ok();
       });
 }
@@ -175,7 +123,7 @@ QueryResult RunFilterSum(const StoredColumn& column, const Predicate& pred,
         });
   } else if (seekable != nullptr) {
     // Oracle mode over the out-of-core path: decode every surviving vector
-    // through the chunked reader and run the predicated loop.
+    // through the chunked reader, then select + compact + striped sum.
     result = RunParallel(
         column, pool, ctx, [&](size_t rg, double*, double* acc) {
           const size_t first_vector = rg * kRowgroupVectors;
@@ -190,18 +138,14 @@ QueryResult RunFilterSum(const StoredColumn& column, const Predicate& pred,
           skipped.fetch_add(local_skipped, std::memory_order_relaxed);
           pushdown::NoteSkippedVectors(local_skipped);
           double sum = 0.0;
+          pushdown::EvalScratch scratch;
           const io::SeekableReader<double>::VectorFilter want = [&](size_t v) {
             return seekable->VectorMayContain(v, pred.lo, pred.hi);
           };
           Status s = seekable->VisitRowgroup(
               rg,
               [&](size_t, const double* values, unsigned len) {
-                pushdown::SurvivorSum ss;
-                for (unsigned i = 0; i < len; ++i) {
-                  const double x = values[i];
-                  ss.AddPredicated(x, pred.Matches(x));
-                }
-                sum += ss.Reduce();
+                sum += pushdown::FilterSumValues(values, len, pred, &scratch);
                 return Status::Ok();
               },
               ctx, &want);
@@ -211,10 +155,10 @@ QueryResult RunFilterSum(const StoredColumn& column, const Predicate& pred,
         });
   } else if (alp_reader != nullptr) {
     // In-memory push-down: the zone map skips disjoint vectors; survivors
-    // are evaluated on their packed lanes (kAuto) or decoded into the
-    // oracle's predicated loop (kDecodeThenFilter).
+    // are evaluated on their packed lanes (kAuto) or decoded and filtered
+    // by select + compact + striped sum (kDecodeThenFilter).
     result = RunParallel(
-        column, pool, ctx, [&](size_t rg, double* buffer, double* acc) {
+        column, pool, ctx, [&](size_t rg, double*, double* acc) {
           const size_t first_vector = rg * kRowgroupVectors;
           const size_t vectors =
               (column.RowgroupLength(rg) + kVectorSize - 1) / kVectorSize;
@@ -234,23 +178,18 @@ QueryResult RunFilterSum(const StoredColumn& column, const Predicate& pred,
                 // no predicate (bit-identical — the oracle would select
                 // every value, giving the same survivor sequence).
                 ++counters.full_inside;
-                alp_reader->DecodeVector(vec, buffer);
-                const unsigned len = alp_reader->VectorLength(vec);
-                sum += pushdown::StripedSumAll(buffer, len);
+                alp_reader->DecodeVector(vec, scratch.values);
+                sum += pushdown::StripedSumAll(scratch.values,
+                                               alp_reader->VectorLength(vec));
                 continue;
               }
               pushdown::FilterSumVector(*alp_reader, vec, tp, &scratch, &sum,
                                         &counters);
               continue;
             }
-            alp_reader->DecodeVector(vec, buffer);
-            const unsigned len = alp_reader->VectorLength(vec);
-            pushdown::SurvivorSum ss;
-            for (unsigned i = 0; i < len; ++i) {
-              const double x = buffer[i];
-              ss.AddPredicated(x, pred.Matches(x));  // Predicated.
-            }
-            sum += ss.Reduce();
+            alp_reader->DecodeVector(vec, scratch.values);
+            sum += pushdown::FilterSumValues(
+                scratch.values, alp_reader->VectorLength(vec), pred, &scratch);
           }
           skipped.fetch_add(local_skipped, std::memory_order_relaxed);
           pushdown::NoteSkippedVectors(local_skipped);
@@ -264,21 +203,10 @@ QueryResult RunFilterSum(const StoredColumn& column, const Predicate& pred,
   } else if (column.RowgroupPointer(0) != nullptr) {
     result = RunParallel(
         column, pool, ctx, [&](size_t rg, double*, double* acc) {
-          const double* data = column.RowgroupPointer(rg);
-          const unsigned len = column.RowgroupLength(rg);
-          double sum = 0.0;
-          // The oracle stripes per vector, so every storage scheme chunks
-          // the same way regardless of rowgroup shape.
-          for (unsigned v0 = 0; v0 < len; v0 += kVectorSize) {
-            const unsigned n = std::min<unsigned>(kVectorSize, len - v0);
-            pushdown::SurvivorSum ss;
-            for (unsigned i = 0; i < n; ++i) {
-              const double x = data[v0 + i];
-              ss.AddPredicated(x, pred.Matches(x));
-            }
-            sum += ss.Reduce();
-          }
-          *acc += sum;
+          pushdown::EvalScratch scratch;
+          *acc += FilterSumRowgroupValues(column.RowgroupPointer(rg),
+                                          column.RowgroupLength(rg), pred,
+                                          &scratch);
           return Status::Ok();
         });
   } else {
@@ -288,18 +216,9 @@ QueryResult RunFilterSum(const StoredColumn& column, const Predicate& pred,
         column, pool, ctx, [&](size_t rg, double* buffer, double* acc) {
           Status s = column.TryDecodeRowgroup(rg, buffer, ctx);
           if (!s.ok()) return s;
-          const unsigned len = column.RowgroupLength(rg);
-          double sum = 0.0;
-          for (unsigned v0 = 0; v0 < len; v0 += kVectorSize) {
-            const unsigned n = std::min<unsigned>(kVectorSize, len - v0);
-            pushdown::SurvivorSum ss;
-            for (unsigned i = 0; i < n; ++i) {
-              const double x = buffer[v0 + i];
-              ss.AddPredicated(x, pred.Matches(x));
-            }
-            sum += ss.Reduce();
-          }
-          *acc += sum;
+          pushdown::EvalScratch scratch;
+          *acc += FilterSumRowgroupValues(buffer, column.RowgroupLength(rg),
+                                          pred, &scratch);
           return Status::Ok();
         });
   }
@@ -312,28 +231,33 @@ QueryResult RunFilterSum(const StoredColumn& column, const Predicate& pred,
 QueryResult RunMinMax(const StoredColumn& column, ThreadPool& pool, double* min_out,
                       double* max_out, const OpContext* ctx) {
   const ColumnReader<double>* alp_reader = column.AlpReader();
+  const io::SeekableReader<double>* seekable = column.Seekable();
   double min = std::numeric_limits<double>::infinity();
   double max = -min;
 
-  if (alp_reader != nullptr) {
+  if (seekable != nullptr || alp_reader != nullptr) {
     // Zone maps are exact per-vector min/max: the aggregate needs no
     // decoding at all (and finishes in microseconds, so one up-front
-    // cancellation check suffices).
+    // cancellation check suffices). A seekable column answers from its
+    // resident index region, so no chunk is fetched.
     QueryResult result;
     if (ctx != nullptr) {
       result.status = ctx->Check();
       if (!result.status.ok()) return result;
     }
     const uint64_t start = CycleNow();
-    for (size_t v = 0; v < alp_reader->vector_count(); ++v) {
-      const VectorStats& stats = alp_reader->Stats(v);
+    const size_t vectors = seekable != nullptr ? seekable->vector_count()
+                                               : alp_reader->vector_count();
+    for (size_t v = 0; v < vectors; ++v) {
+      const VectorStats& stats =
+          seekable != nullptr ? seekable->Stats(v) : alp_reader->Stats(v);
       min = stats.min < min ? stats.min : min;
       max = stats.max > max ? stats.max : max;
     }
     result.cycles = CycleNow() - start;
     result.tuples = column.value_count();
     result.threads = pool.size();
-    result.vectors_skipped = alp_reader->vector_count();
+    result.vectors_skipped = vectors;
     *min_out = min;
     *max_out = max;
     result.sum = min;

@@ -53,10 +53,11 @@ struct QueryResult {
   }
 };
 
-/// All morsel-loop operators below poll an optional OpContext between
-/// rowgroup morsels (and observe the engine.rowgroup fault site), so a
-/// cancelled or deadline-missed query stops within one morsel's work and
-/// reports kCancelled/kDeadlineExceeded in QueryResult::status. When
+/// All morsel-loop operators below (engine/morsel.h) poll an optional
+/// OpContext between rowgroup morsels (and observe the engine.rowgroup
+/// fault site), so a cancelled or deadline-missed query stops within one
+/// morsel's work and reports kCancelled/kDeadlineExceeded in
+/// QueryResult::status. When
 /// several workers stop at once, the lowest-indexed morsel's Status wins —
 /// the same one a serial scan would have hit first.
 
@@ -65,7 +66,9 @@ struct QueryResult {
 QueryResult RunScan(const StoredColumn& column, ThreadPool& pool,
                     const OpContext* ctx = nullptr);
 
-/// SUM: scan + aggregate each vector into a per-thread accumulator.
+/// SUM: scan + aggregate each vector's striped sum into its rowgroup's
+/// partial; the partials fold in rowgroup order (alp/pushdown.h), so the
+/// sum does not depend on the thread count.
 QueryResult RunSum(const StoredColumn& column, ThreadPool& pool,
                    const OpContext* ctx = nullptr);
 
@@ -80,9 +83,10 @@ enum class FilterMode {
   /// materialized (alp/pushdown.h). Vectors the packed path cannot serve
   /// (ALP_rd, Delta, non-ALP storage) decode-then-filter per vector.
   kAuto,
-  /// Always decode every surviving vector and run the predicated loop —
-  /// the bit-identity oracle the packed path is measured and tested
-  /// against.
+  /// Always decode every surviving vector, then select + compact +
+  /// striped sum over the decoded values — the mode the packed path is
+  /// measured and tested against (both equal the SurvivorSum oracle of
+  /// alp/pushdown.h bit for bit).
   kDecodeThenFilter,
 };
 
@@ -102,8 +106,9 @@ QueryResult RunFilterSum(const StoredColumn& column, const Predicate& pred,
                          FilterMode mode = FilterMode::kAuto);
 
 /// MIN/MAX aggregate. ALP columns answer from the zone maps alone - zero
-/// vectors decoded (vectors_skipped == all) - while every other storage
-/// scheme must materialize the data. NaNs are ignored, SQL-style.
+/// vectors decoded (vectors_skipped == all; a seekable column reads its
+/// resident index region, no chunk) - while every other storage scheme
+/// must materialize the data. NaNs are ignored, SQL-style.
 QueryResult RunMinMax(const StoredColumn& column, ThreadPool& pool, double* min_out,
                       double* max_out, const OpContext* ctx = nullptr);
 

@@ -1,11 +1,12 @@
 #include "engine/table.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstring>
 
+#include "alp/kernel_dispatch.h"
 #include "alp/pushdown.h"
-#include "util/cycle_clock.h"
+#include "engine/morsel.h"
 
 namespace alp::engine {
 namespace {
@@ -33,21 +34,16 @@ class VectorSource {
   }
 
   /// Late materialization: compacts vector \p v's survivors per \p bitmap
-  /// into out[] in ascending index order. ALP columns go through the
-  /// gather kernel (pushdown::GatherVector); uncompressed columns compact
-  /// straight from the raw rowgroup pointer.
+  /// into out[] in ascending index order. ALP columns go through
+  /// pushdown::GatherVector (gather kernel, or decode + compact when
+  /// dense); uncompressed columns compact straight from the raw rowgroup
+  /// pointer.
   unsigned Gather(size_t v, unsigned len, const uint64_t* bitmap,
                   pushdown::EvalScratch* scratch, double* out,
                   pushdown::VectorCounters* counters) const {
     if (raw_ != nullptr) {
-      const double* values = raw_ + v * kVectorSize;
-      unsigned count = 0;
-      for (unsigned i = 0; i < len; ++i) {
-        if (bitmap[i / 64] & (uint64_t{1} << (i % 64))) {
-          out[count++] = values[i];
-        }
-      }
-      return count;
+      return kernels::Active().compact64(raw_ + v * kVectorSize, len, bitmap,
+                                         out);
     }
     return pushdown::GatherVector(*reader_, v, bitmap, scratch, out, counters);
   }
@@ -62,7 +58,7 @@ class VectorSource {
 QueryResult RunFilteredDotSum(const Table& table, std::string_view filter_column,
                               const Predicate& pred, std::string_view a_column,
                               std::string_view b_column, ThreadPool& pool,
-                              FilterMode mode) {
+                              const OpContext* ctx, FilterMode mode) {
   const StoredColumn* filter = table.Column(filter_column);
   const StoredColumn* a = table.Column(a_column);
   const StoredColumn* b = table.Column(b_column);
@@ -78,79 +74,61 @@ QueryResult RunFilteredDotSum(const Table& table, std::string_view filter_column
 
   const size_t rows = table.row_count();
   const size_t vectors = (rows + kVectorSize - 1) / kVectorSize;
-  std::atomic<size_t> next{0};
   std::atomic<size_t> skipped{0};
   std::atomic<size_t> packed_eval{0};
-  std::vector<double> partials(pool.size(), 0.0);
 
-  const uint64_t start = CycleNow();
-  pool.Run([&](unsigned worker) {
-    double local = 0.0;
-    pushdown::VectorCounters counters;
-    pushdown::EvalScratch scratch;
-    uint64_t bitmap[kVectorSize / 64];
-    double f_buf[kVectorSize];
-    alignas(64) double a_buf[kVectorSize];
-    alignas(64) double b_buf[kVectorSize];
-    // Morsels of whole rowgroups keep vector decodes cache-friendly.
-    while (true) {
-      const size_t rg = next.fetch_add(1, std::memory_order_relaxed);
-      const size_t first = rg * kRowgroupVectors;
-      if (first >= vectors) break;
-      const size_t last = std::min(first + kRowgroupVectors, vectors);
-      for (size_t v = first; v < last; ++v) {
-        // The closed [lo, hi] envelope check is a superset of the open
-        // variants, so skipping on it is safe for any bound shape.
-        if (!filter_source.MayContain(v, pred.lo, pred.hi)) {
-          ++counters.skipped;  // No column decodes at all for this vector.
-          continue;
-        }
-        const size_t base_row = v * kVectorSize;
-        const unsigned len =
-            static_cast<unsigned>(std::min<size_t>(kVectorSize, rows - base_row));
-        // FILTER: selection bitmap over the filter column — on packed
-        // lanes when possible, else from decoded values (the oracle).
-        unsigned count = 0;
-        if (mode == FilterMode::kAuto && filter_source.reader() != nullptr) {
-          pushdown::SelectVector(*filter_source.reader(), v, tp, &scratch,
-                                 bitmap, &count, &counters);
-        } else {
-          const double* f = filter_source.Vector(v, f_buf);
-          std::memset(bitmap, 0, sizeof(bitmap));
-          for (unsigned i = 0; i < len; ++i) {
-            if (pred.Matches(f[i])) {
-              bitmap[i / 64] |= uint64_t{1} << (i % 64);
-              ++count;
-            }
+  // Morsels of whole rowgroups keep vector decodes cache-friendly.
+  QueryResult result = internal::RunMorsels(
+      (rows + kRowgroupSize - 1) / kRowgroupSize, rows, pool, ctx,
+      [&](size_t rg, double*, double* acc) {
+        pushdown::VectorCounters counters;
+        pushdown::EvalScratch scratch;
+        uint64_t bitmap[kVectorSize / 64];
+        alignas(64) double a_buf[kVectorSize];
+        alignas(64) double b_buf[kVectorSize];
+        const size_t first = rg * kRowgroupVectors;
+        const size_t last = std::min(first + kRowgroupVectors, vectors);
+        double sum = 0.0;
+        for (size_t v = first; v < last; ++v) {
+          // The closed [lo, hi] envelope check is a superset of the open
+          // variants, so skipping on it is safe for any bound shape.
+          if (!filter_source.MayContain(v, pred.lo, pred.hi)) {
+            ++counters.skipped;  // No column decodes at all for this vector.
+            continue;
           }
+          const size_t base_row = v * kVectorSize;
+          const unsigned len = static_cast<unsigned>(
+              std::min<size_t>(kVectorSize, rows - base_row));
+          // FILTER: selection bitmap over the filter column — on packed
+          // lanes when possible, else from decoded values (the oracle).
+          unsigned count = 0;
+          if (mode == FilterMode::kAuto && filter_source.reader() != nullptr) {
+            pushdown::SelectVector(*filter_source.reader(), v, tp, &scratch,
+                                   bitmap, &count, &counters);
+          } else {
+            const double* f = filter_source.Vector(v, scratch.values);
+            count = pushdown::SelectValues(f, len, pred, bitmap);
+          }
+          if (count == 0) continue;  // Nothing survives: a/b never touched.
+          // PROJECT: late-materialize only the survivors of each projected
+          // column, in ascending index order (the bit-identity contract).
+          const unsigned na =
+              a_source.Gather(v, len, bitmap, &scratch, a_buf, &counters);
+          const unsigned nb =
+              b_source.Gather(v, len, bitmap, &scratch, b_buf, &counters);
+          assert(na == count && nb == count);
+          (void)na;
+          (void)nb;
+          // AGGREGATE over the compacted survivor arrays: the striped
+          // per-vector oracle (pushdown.h), fed survivor products.
+          sum += pushdown::StripedDotAll(a_buf, b_buf, count);
         }
-        if (count == 0) continue;  // Nothing survives: a/b never touched.
-        // PROJECT: late-materialize only the survivors of each projected
-        // column, in ascending index order (the bit-identity contract).
-        const unsigned na =
-            a_source.Gather(v, len, bitmap, &scratch, a_buf, &counters);
-        const unsigned nb =
-            b_source.Gather(v, len, bitmap, &scratch, b_buf, &counters);
-        assert(na == count && nb == count);
-        (void)na;
-        (void)nb;
-        // AGGREGATE over the compacted survivor arrays: the striped
-        // per-vector oracle (pushdown.h), fed survivor products.
-        local += pushdown::StripedDotAll(a_buf, b_buf, count);
-      }
-    }
-    partials[worker] = local;
-    skipped.fetch_add(counters.skipped, std::memory_order_relaxed);
-    packed_eval.fetch_add(counters.packed_eval, std::memory_order_relaxed);
-    pushdown::NoteSkippedVectors(counters.skipped);
-  });
-  const uint64_t cycles = CycleNow() - start;
-
-  QueryResult result;
-  for (double p : partials) result.sum += p;
-  result.cycles = cycles;
-  result.tuples = rows;
-  result.threads = pool.size();
+        *acc += sum;
+        skipped.fetch_add(counters.skipped, std::memory_order_relaxed);
+        packed_eval.fetch_add(counters.packed_eval, std::memory_order_relaxed);
+        pushdown::NoteSkippedVectors(counters.skipped);
+        return Status::Ok();
+      });
   result.vectors_skipped = skipped.load();
   result.vectors_packed_eval = packed_eval.load();
   return result;

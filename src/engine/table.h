@@ -58,9 +58,14 @@ class Table {
 /// Columns must be ALP or Uncompressed (vector-addressable storage).
 /// `vectors_skipped` counts vectors never decoded in any column;
 /// `vectors_packed_eval` counts filter vectors evaluated on packed lanes.
+/// Runs on the engine's morsel loop (one partial per rowgroup, folded in
+/// rowgroup order, so the sum does not depend on the thread count) and
+/// honours \p ctx and the engine.rowgroup fault site per morsel like the
+/// single-column operators (operators.h).
 QueryResult RunFilteredDotSum(const Table& table, std::string_view filter_column,
                               const Predicate& pred, std::string_view a_column,
                               std::string_view b_column, ThreadPool& pool,
+                              const OpContext* ctx = nullptr,
                               FilterMode mode = FilterMode::kAuto);
 
 /// Closed-range convenience: pred = Predicate::Between(lo, hi).

@@ -407,16 +407,12 @@ Status SeekableReader<T>::FilterSumRowgroup(size_t rg,
             }
             if (recorder != nullptr) recorder->Count("io.cache.hit");
           });
-          // Already materialized: filter the cached doubles (the oracle
-          // loop, so the result cannot depend on cache state).
+          // Already materialized: select, compact and striped-sum the
+          // cached doubles (the same survivor sum as every other path, so
+          // the result cannot depend on cache state).
           const double* values = reinterpret_cast<const double*>(hit->data());
           ++counters->decoded;
-          pushdown::SurvivorSum ss;
-          for (unsigned i = 0; i < len; ++i) {
-            const double x = values[i];
-            ss.AddPredicated(x, pred.Matches(x));
-          }
-          *sum += ss.Reduce();
+          *sum += pushdown::FilterSumValues(values, len, pred.pred(), &scratch);
           continue;
         }
         ALP_OBS_ONLY({

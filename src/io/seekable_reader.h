@@ -173,9 +173,10 @@ class SeekableReader {
   /// map drops disjoint vectors before any chunk fetch — a rowgroup none
   /// of whose vectors qualify is never read — and surviving vectors are
   /// evaluated on their FFOR-packed lanes inside the fetched chunk
-  /// (alp/pushdown.h), adding qualifying values to *sum in index order,
-  /// bit-identical to filtering the decoded values. Cache hits are
-  /// filtered in the double domain; the packed path does not insert into
+  /// (alp/pushdown.h), adding the rowgroup's partial (its vectors' striped
+  /// survivor sums, in vector order) to *sum, bit-identical to filtering
+  /// the decoded values. Cache hits are filtered in the double domain
+  /// (select + compact + striped sum); the packed path does not insert into
   /// the cache (it never materializes whole vectors). \p counters
   /// accumulates the per-vector outcome mix.
   Status FilterSumRowgroup(size_t rg, const TranslatedPredicate& pred,

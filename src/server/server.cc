@@ -465,10 +465,8 @@ Response Server::ExecuteOnColumn(const Request& request,
           seekable->TryDecodeVector(request.vector_index, buffer, &ctx);
       if (!response.status.ok()) return response;
       const unsigned len = seekable->VectorLength(request.vector_index);
-      double sum = 0.0;
-      for (unsigned i = 0; i < len; ++i) sum += buffer[i];
       response.values.assign(buffer, buffer + len);
-      response.sum = sum;
+      response.sum = pushdown::StripedSumAll(buffer, len);
       response.tuples = len;
       return response;
     }
@@ -492,11 +490,14 @@ Response Server::ExecuteOnColumn(const Request& request,
             tuples += seekable->VectorLength(v);
           }
         }
+        // Rowgroup partials folded in rowgroup order: the engine's fold.
         pushdown::VectorCounters counters;
         for (size_t rg = 0; rg < seekable->rowgroup_count(); ++rg) {
+          double partial = 0.0;
           response.status =
-              seekable->FilterSumRowgroup(rg, tp, &sum, &counters, &ctx);
+              seekable->FilterSumRowgroup(rg, tp, &partial, &counters, &ctx);
           if (!response.status.ok()) return response;
+          sum += partial;
         }
         response.sum = sum;
         response.tuples = tuples;
@@ -505,16 +506,26 @@ Response Server::ExecuteOnColumn(const Request& request,
         return response;
       }
       // Unfiltered SUM: streaming scan, polling ctx and the decode fault
-      // site per vector like the in-memory TryDecodeVector loop.
+      // site per vector like the in-memory TryDecodeVector loop. Vectors
+      // arrive in order; each rowgroup's partial (its vectors' striped
+      // sums) is folded into the query sum when the next rowgroup starts —
+      // the engine's RunSum order.
+      double partial = 0.0;
+      size_t partial_rg = 0;
       response.status = seekable->Scan(
-          [&](size_t, const double* values, unsigned len) {
-            for (unsigned i = 0; i < len; ++i) sum += values[i];
+          [&](size_t v, const double* values, unsigned len) {
+            if (v / kRowgroupVectors != partial_rg) {
+              sum += partial;
+              partial = 0.0;
+              partial_rg = v / kRowgroupVectors;
+            }
+            partial += pushdown::StripedSumAll(values, len);
             tuples += len;
             return Status::Ok();
           },
           &ctx);
       if (!response.status.ok()) return response;
-      response.sum = sum;
+      response.sum = sum + partial;
       response.tuples = tuples;
       return response;
     }

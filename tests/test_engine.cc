@@ -11,6 +11,8 @@
 
 #include "data/datasets.h"
 #include "engine/operators.h"
+#include "io/decoded_vector_cache.h"
+#include "test_fixtures.h"
 
 namespace alp::engine {
 namespace {
@@ -149,7 +151,8 @@ TEST(Operators, MultiThreadMatchesSingleThread) {
   ThreadPool pool4(4);
   const QueryResult r1 = RunSum(column, pool1);
   const QueryResult r4 = RunSum(column, pool4);
-  EXPECT_NEAR(r1.sum, r4.sum, std::abs(r1.sum) * 1e-12);
+  // One partial per rowgroup, folded in rowgroup order: bitwise equal.
+  EXPECT_EQ(BitsOf(r1.sum), BitsOf(r4.sum));
   EXPECT_EQ(r4.threads, 4u);
 }
 
@@ -186,16 +189,19 @@ TEST(Operators, FilterSumMatchesReference) {
   const auto zstd_col =
       StoredColumn::MakeCodec(codecs::MakeZstd(), data.data(), data.size());
 
+  const Predicate pred = Predicate::Between(lo, hi);
+  const double contract = testutil::ContractSum(data, &pred);
   for (const StoredColumn* column : {&uncompressed, &alp_col, &zstd_col}) {
     const QueryResult r = RunFilterSum(*column, lo, hi, pool);
     EXPECT_NEAR(r.sum, expected, std::abs(expected) * 1e-12) << column->scheme();
+    EXPECT_EQ(BitsOf(r.sum), BitsOf(contract)) << column->scheme();
   }
 }
 
 TEST(Operators, FilterPushdownSkipsVectors) {
   std::vector<double> data(kRowgroupSize * 2);
   for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<double>(i) * 0.5;
-  ThreadPool pool(1);
+  ThreadPool pool(4);
   const auto alp_col = StoredColumn::MakeAlp(data.data(), data.size());
   // A range covering ~2% of the data: the vast majority of vectors skip.
   const QueryResult r = RunFilterSum(alp_col, 100.0, 2000.0, pool);
@@ -211,7 +217,7 @@ TEST(Operators, FilterPushdownSkipsVectors) {
 TEST(Operators, FilterEmptyRangeSkipsEverything) {
   std::vector<double> data(kRowgroupSize);
   for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<double>(i);
-  ThreadPool pool(1);
+  ThreadPool pool(4);
   const auto alp_col = StoredColumn::MakeAlp(data.data(), data.size());
   const QueryResult r = RunFilterSum(alp_col, 1e9, 2e9, pool);
   EXPECT_EQ(r.sum, 0.0);
@@ -246,6 +252,26 @@ TEST(Operators, MinMaxFromZoneMapsIsExact) {
     EXPECT_EQ(m1, expected_min) << column->scheme();
     EXPECT_EQ(m2, expected_max) << column->scheme();
   }
+}
+
+TEST(Operators, MinMaxOnSeekableColumnReadsOnlyTheResidentZoneMap) {
+  const auto data = TestData(kRowgroupSize * 2 + 555);
+  const auto in_memory = StoredColumn::MakeAlp(data.data(), data.size());
+  auto seekable = StoredColumn::MakeAlp(data.data(), data.size());
+  io::DecodedVectorCache cache(1 << 20);
+  ASSERT_TRUE(seekable.EnableSeekable(&cache).ok());
+
+  ThreadPool pool(2);
+  double min_a = 0, max_a = 0, min_b = 0, max_b = 0;
+  const QueryResult a = RunMinMax(in_memory, pool, &min_a, &max_a);
+  const QueryResult b = RunMinMax(seekable, pool, &min_b, &max_b);
+  ASSERT_TRUE(b.status.ok());
+  EXPECT_EQ(BitsOf(min_b), BitsOf(min_a));
+  EXPECT_EQ(BitsOf(max_b), BitsOf(max_a));
+  EXPECT_EQ(b.vectors_skipped, a.vectors_skipped);
+  // No chunk was fetched or decoded: the cache never saw a lookup.
+  const auto stats = cache.TotalStats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.inserts, 0u);
 }
 
 TEST(Operators, MinMaxIsMuchCheaperOnAlp) {

@@ -1,6 +1,6 @@
 // Tests for the multi-column Table and the two-column filtered aggregate:
 // correctness against a scalar reference, zone-map pruning across columns,
-// and mixed ALP/uncompressed storage.
+// mixed ALP/uncompressed storage, and cancellation / fault reporting.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,9 @@
 #include <vector>
 
 #include "engine/table.h"
+#include "util/bits.h"
+#include "util/cancellation.h"
+#include "util/fault_injection.h"
 
 namespace alp::engine {
 namespace {
@@ -75,7 +78,7 @@ TEST(Table, PushdownPrunesAllColumns) {
   table.AddColumn("price", StoredColumn::MakeAlp(data.price.data(), data.price.size()));
   table.AddColumn("qty", StoredColumn::MakeAlp(data.qty.data(), data.qty.size()));
 
-  ThreadPool pool(1);
+  ThreadPool pool(4);
   // Narrow time window: ~2% of rows qualify -> most vectors pruned.
   const QueryResult r =
       RunFilteredDotSum(table, "time", 100.0, 500.0, "price", "qty", pool);
@@ -114,9 +117,51 @@ TEST(Table, MixedStorageAgrees) {
 
   const QueryResult a = RunFilteredDotSum(alp_table, "t", lo, hi, "p", "q", pool);
   const QueryResult b = RunFilteredDotSum(raw_table, "t", lo, hi, "p", "q", pool);
-  EXPECT_NEAR(a.sum, b.sum, std::abs(b.sum) * 1e-9);
+  // Same survivors, same per-vector striped sums, same rowgroup fold.
+  EXPECT_EQ(BitsOf(a.sum), BitsOf(b.sum));
   // Uncompressed filter column has no zone maps: nothing skipped.
   EXPECT_EQ(b.vectors_skipped, 0u);
+}
+
+TEST(Table, FilteredDotSumHonoursCancellationAndFaults) {
+  const auto data = MakeData(kRowgroupSize * 4);
+  Table table;
+  table.AddColumn("time", StoredColumn::MakeAlp(data.time.data(), data.time.size()));
+  table.AddColumn("price", StoredColumn::MakeAlp(data.price.data(), data.price.size()));
+  table.AddColumn("qty", StoredColumn::MakeUncompressed(data.qty));
+  const Predicate pred = Predicate::Between(0.0, 1e9);
+
+  CancelToken token;
+  token.Cancel();
+  OpContext ctx;
+  ctx.cancel = &token;
+  for (unsigned threads : {1u, 3u}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(RunFilteredDotSum(table, "time", pred, "price", "qty", pool, &ctx)
+                  .status.code(),
+              StatusCode::kCancelled);
+  }
+
+  // A deterministic fault at every morsel: the lowest rowgroup's Status,
+  // whatever the worker count.
+  fault::DisarmAll();
+  fault::FaultSpec spec;
+  spec.code = StatusCode::kIo;
+  spec.message = "injected rowgroup fault";
+  fault::Arm("engine.rowgroup", spec);
+  for (unsigned threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    const QueryResult r =
+        RunFilteredDotSum(table, "time", pred, "price", "qty", pool);
+    EXPECT_EQ(r.status.code(), StatusCode::kIo) << threads << " threads";
+    EXPECT_EQ(r.status.ToString(), Status::Io("injected rowgroup fault").ToString());
+  }
+  fault::DisarmAll();
+  fault::SetEnabled(false);
+
+  ThreadPool pool(2);
+  EXPECT_TRUE(
+      RunFilteredDotSum(table, "time", pred, "price", "qty", pool).status.ok());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #ifndef ALP_TESTS_TEST_FIXTURES_H_
 #define ALP_TESTS_TEST_FIXTURES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <random>
@@ -14,6 +15,8 @@
 #include <vector>
 
 #include "alp/alp.h"
+#include "alp/predicate.h"
+#include "alp/pushdown.h"
 #include "util/bits.h"
 #include "util/status.h"
 
@@ -46,6 +49,30 @@ inline std::vector<double> HighPrecisionData(uint64_t seed, size_t n) {
     v = DoubleFromBits((rng() & 0x000FFFFFFFFFFFFFULL) | 0x3FE0000000000000ULL);
   }
   return data;
+}
+
+/// The summation contract of alp/pushdown.h, computed from raw values with
+/// the SurvivorSum definition: each vector's survivors (every value when
+/// \p pred is null) go through SurvivorSum, the vector sums are added in
+/// order into a per-rowgroup partial, and the partials are folded in
+/// rowgroup order. Every sum route — engine, seekable reader, server, at
+/// any thread count and kernel tier — must return exactly these bits.
+inline double ContractSum(const std::vector<double>& values,
+                          const Predicate* pred = nullptr) {
+  double sum = 0.0;
+  for (size_t rg = 0; rg < values.size(); rg += kRowgroupSize) {
+    double partial = 0.0;
+    const size_t rg_end = std::min(values.size(), rg + kRowgroupSize);
+    for (size_t v = rg; v < rg_end; v += kVectorSize) {
+      pushdown::SurvivorSum ss;
+      for (size_t i = v; i < std::min(rg_end, v + kVectorSize); ++i) {
+        if (pred == nullptr || pred->Matches(values[i])) ss.Add(values[i]);
+      }
+      partial += ss.Reduce();
+    }
+    sum += partial;
+  }
+  return sum;
 }
 
 struct Corpus {

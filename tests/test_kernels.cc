@@ -18,14 +18,19 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alp/alp.h"
 #include "alp/decode_kernels.h"
+#include "alp/predicate.h"
 #include "fastlanes/bitpack.h"
 #include "util/bits.h"
 #include "util/file_io.h"
@@ -547,6 +552,130 @@ TEST(Kernels, SimdAvailabilityIsReported) {
   // The answer depends on the host; it must agree with the dispatcher.
   EXPECT_EQ(simd::Available(), kernels::ActiveTier() != Tier::kScalar);
   EXPECT_STREQ(simd::KernelName(), kernels::ActiveTierName());
+}
+
+// ---------------------------------------------------------------------------
+// Decoded-value selection and survivor compaction: every tier against the
+// scalar reference (and against Predicate::Matches itself), at every tail
+// length. Inputs are heap buffers of exactly n values, so a kernel reading
+// or writing past n trips the sanitizer lanes.
+// ---------------------------------------------------------------------------
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Values in [-4, 4] on a coarse grid (so bounds hit values exactly), with
+/// NaN, ±inf, ±0.0 and the bound neighbours sprinkled in.
+std::vector<double> SelectCorpus(std::mt19937_64& rng) {
+  std::vector<double> v(kVectorSize);
+  const double specials[] = {kNaN, -kNaN, kInf, -kInf, 0.0, -0.0,
+                             std::nextafter(1.0, 2.0), std::nextafter(1.0, 0.0),
+                             std::numeric_limits<double>::denorm_min()};
+  for (auto& x : v) {
+    x = rng() % 5 == 0 ? specials[rng() % std::size(specials)]
+                       : static_cast<double>(static_cast<int>(rng() % 33) - 16) / 4.0;
+  }
+  return v;
+}
+
+std::vector<Predicate> SelectPredicates() {
+  std::vector<Predicate> preds;
+  const std::pair<double, double> ranges[] = {
+      {-1.0, 1.0}, {0.0, 0.0}, {-0.0, 2.5}, {-kInf, 0.25}, {-2.0, kInf},
+      {-kInf, kInf}, {3.0, -3.0}, {kNaN, 1.0}, {-1.0, kNaN}};
+  for (const auto& [lo, hi] : ranges) {
+    for (unsigned open = 0; open < 4; ++open) {
+      preds.push_back(Predicate{lo, hi, (open & 1) != 0, (open & 2) != 0});
+    }
+  }
+  return preds;
+}
+
+void ExpectSelectMatches(const DecodeKernels& k, const std::vector<double>& values,
+                         const Predicate& p) {
+  const unsigned n = static_cast<unsigned>(values.size());
+  uint64_t bitmap[kVectorSize / 64];
+  std::memset(bitmap, 0xAB, sizeof(bitmap));  // Stale bits must be cleared.
+  k.select_f64(values.data(), n, p.lo, p.hi, p.lo_open, p.hi_open, bitmap);
+  for (unsigned i = 0; i < kVectorSize; ++i) {
+    const bool bit = (bitmap[i / 64] >> (i % 64)) & 1u;
+    const bool want = i < n && p.Matches(values[i]);
+    ASSERT_EQ(bit, want) << kernels::TierName(k.tier) << " n=" << n << " i=" << i
+                         << " x=" << (i < n ? values[i] : 0.0) << " [" << p.lo
+                         << ", " << p.hi << "] open=" << p.lo_open << p.hi_open;
+  }
+}
+
+TEST(KernelTiers, SelectF64MatchesPredicateEveryTier) {
+  std::mt19937_64 rng(71);
+  const auto corpus = SelectCorpus(rng);
+  for (const DecodeKernels* k : AvailableTiers()) {
+    for (const Predicate& p : SelectPredicates()) ExpectSelectMatches(*k, corpus, p);
+  }
+}
+
+TEST(KernelTiers, SelectF64EveryTailLength) {
+  std::mt19937_64 rng(72);
+  const auto corpus = SelectCorpus(rng);
+  const Predicate preds[] = {Predicate{-1.0, 1.0, false, true},
+                             Predicate{-0.0, 2.0, true, false}};
+  for (const DecodeKernels* k : AvailableTiers()) {
+    for (unsigned n = 1; n <= kVectorSize; ++n) {
+      const std::vector<double> values(corpus.begin(), corpus.begin() + n);
+      for (const Predicate& p : preds) ExpectSelectMatches(*k, values, p);
+    }
+  }
+}
+
+/// Bitmaps of every shape the compaction has a fast or slow path for; bits
+/// at and beyond n are set on purpose (the kernel must ignore them).
+std::vector<std::vector<uint64_t>> CompactBitmaps(std::mt19937_64& rng) {
+  std::vector<std::vector<uint64_t>> maps;
+  maps.emplace_back(kVectorSize / 64, 0);
+  maps.emplace_back(kVectorSize / 64, ~uint64_t{0});
+  maps.emplace_back(kVectorSize / 64, 0x5555555555555555ull);
+  maps.emplace_back(kVectorSize / 64, 0xAAAAAAAAAAAAAAAAull);
+  for (const unsigned permille : {20u, 500u, 980u}) {
+    std::vector<uint64_t> m(kVectorSize / 64, 0);
+    for (unsigned i = 0; i < kVectorSize; ++i) {
+      if (rng() % 1000 < permille) m[i / 64] |= uint64_t{1} << (i % 64);
+    }
+    maps.push_back(std::move(m));
+  }
+  return maps;
+}
+
+TEST(KernelTiers, Compact64MatchesScalarEveryTierEveryTail) {
+  std::mt19937_64 rng(73);
+  std::vector<double> corpus(kVectorSize);
+  for (auto& x : corpus) x = std::bit_cast<double>(rng());  // NaN payloads too.
+  const auto maps = CompactBitmaps(rng);
+  const auto tiers = AvailableTiers();
+  for (unsigned n = 1; n <= kVectorSize; ++n) {
+    const std::vector<double> values(corpus.begin(), corpus.begin() + n);
+    for (const auto& map : maps) {
+      std::vector<uint64_t> want;
+      for (unsigned i = 0; i < n; ++i) {
+        if ((map[i / 64] >> (i % 64)) & 1u) want.push_back(BitsOf(values[i]));
+      }
+      for (const DecodeKernels* k : tiers) {
+        std::vector<double> out(n);
+        const unsigned count = k->compact64(values.data(), n, map.data(), out.data());
+        ASSERT_EQ(count, want.size()) << kernels::TierName(k->tier) << " n=" << n;
+        for (unsigned i = 0; i < count; ++i) {
+          ASSERT_EQ(BitsOf(out[i]), want[i])
+              << kernels::TierName(k->tier) << " n=" << n << " i=" << i;
+        }
+        // In place: the survivor cursor trails the read position.
+        std::vector<double> inplace = values;
+        ASSERT_EQ(k->compact64(inplace.data(), n, map.data(), inplace.data()), count);
+        for (unsigned i = 0; i < count; ++i) {
+          ASSERT_EQ(BitsOf(inplace[i]), want[i])
+              << kernels::TierName(k->tier) << " in place, n=" << n << " i=" << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(Kernels, NegativeBaseHandled) {

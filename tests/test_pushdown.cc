@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -20,6 +21,7 @@
 #include "engine/operators.h"
 #include "engine/table.h"
 #include "io/decoded_vector_cache.h"
+#include "test_fixtures.h"
 #include "util/bits.h"
 
 namespace alp {
@@ -104,7 +106,7 @@ std::vector<double> HighPrecision(size_t n) {
 /// Bitwise parity between the packed path and the oracle, at one tier.
 void ExpectModeParity(const StoredColumn& column, const Predicate& pred,
                       QueryResult* auto_result = nullptr) {
-  ThreadPool pool(1);  // Deterministic partial-sum order.
+  ThreadPool pool(4);
   const QueryResult a = RunFilterSum(column, pred, pool, nullptr,
                                      FilterMode::kAuto);
   const QueryResult d = RunFilterSum(column, pred, pool, nullptr,
@@ -411,7 +413,7 @@ TEST(PushdownParity, UncompressedAndCodecChunkIdentically) {
   const auto data = Clustered(kRowgroupSize + 555, 41);
   const auto alp_col = StoredColumn::MakeAlp(data.data(), data.size());
   const auto raw_col = StoredColumn::MakeUncompressed(data);
-  ThreadPool pool(1);
+  ThreadPool pool(4);
   const Predicate pred = Predicate::Between(490.0, 515.0);
   const QueryResult a = RunFilterSum(alp_col, pred, pool);
   const QueryResult u = RunFilterSum(raw_col, pred, pool);
@@ -425,7 +427,7 @@ TEST(PushdownParity, SeekablePathMatchesOracleAndCaches) {
   auto column = StoredColumn::MakeAlp(data.data(), data.size());
   io::DecodedVectorCache cache(4 << 20);
   ASSERT_TRUE(column.EnableSeekable(&cache, "pushdown-test").ok());
-  ThreadPool pool(1);
+  ThreadPool pool(4);
   const Predicate pred = Predicate::Between(485.0, 515.0);
   const QueryResult cold = RunFilterSum(column, pred, pool, nullptr,
                                         FilterMode::kAuto);
@@ -456,7 +458,7 @@ TEST(PushdownParity, DotSumSelectionVectorsEveryTier) {
   table.AddColumn("b", StoredColumn::MakeUncompressed(b));
 
   TierGuard guard;
-  ThreadPool pool(1);
+  ThreadPool pool(4);
   for (const DecodeKernels* k : AvailableTiers()) {
     SCOPED_TRACE(kernels::TierName(k->tier));
     ASSERT_TRUE(kernels::ForceTier(k->tier));
@@ -464,13 +466,100 @@ TEST(PushdownParity, DotSumSelectionVectorsEveryTier) {
          {Predicate::Between(490.0, 510.0), Predicate::GreaterThan(f[77]),
           Predicate{495.0, 500.0, true, false}}) {
       const QueryResult push = engine::RunFilteredDotSum(
-          table, "f", pred, "a", "b", pool, FilterMode::kAuto);
+          table, "f", pred, "a", "b", pool, nullptr, FilterMode::kAuto);
       const QueryResult oracle = engine::RunFilteredDotSum(
-          table, "f", pred, "a", "b", pool, FilterMode::kDecodeThenFilter);
+          table, "f", pred, "a", "b", pool, nullptr,
+          FilterMode::kDecodeThenFilter);
       EXPECT_EQ(BitsOf(push.sum), BitsOf(oracle.sum))
           << "push=" << push.sum << " oracle=" << oracle.sum;
     }
   }
+}
+
+TEST(PushdownParity, MatchesSurvivorSumDefinitionEveryTier) {
+  // Both modes against the oracle computed straight from the raw values
+  // with SurvivorSum (no select or compact kernel involved), at 4 threads.
+  const std::vector<double> corpora[] = {WithSpecials(kRowgroupSize * 2 + 511),
+                                         HighPrecision(kRowgroupSize + 11)};
+  TierGuard guard;
+  ThreadPool pool(4);
+  for (const auto& data : corpora) {
+    const auto column = StoredColumn::MakeAlp(data.data(), data.size());
+    const auto raw = StoredColumn::MakeUncompressed(data);
+    for (const DecodeKernels* k : AvailableTiers()) {
+      SCOPED_TRACE(kernels::TierName(k->tier));
+      ASSERT_TRUE(kernels::ForceTier(k->tier));
+      for (const Predicate& pred :
+           {Predicate::Between(480.0, 520.0), Predicate{-0.5, 0.5, true, false},
+            Predicate::GreaterThan(0.0), Predicate::Between(-kInf, kInf)}) {
+        const uint64_t want = BitsOf(testutil::ContractSum(data, &pred));
+        for (const FilterMode mode :
+             {FilterMode::kAuto, FilterMode::kDecodeThenFilter}) {
+          EXPECT_EQ(BitsOf(RunFilterSum(column, pred, pool, nullptr, mode).sum),
+                    want);
+        }
+        EXPECT_EQ(BitsOf(RunFilterSum(raw, pred, pool).sum), want);
+      }
+    }
+  }
+}
+
+TEST(PushdownGather, DenseGatherBitwiseEqualsGatherKernelEveryTier) {
+  // GatherVector switches to fused decode + compact64 at the
+  // kDenseGatherDivisor density; on both sides of the switch it must return
+  // exactly what the gather kernel (plus exception patching) returns — and
+  // the raw values themselves, since the format is lossless.
+  const auto data = WithSpecials(kVectorSize * 6 + 100);
+  const auto buffer = CompressColumn(data.data(), data.size());
+  const ColumnReader<double> reader(buffer.data(), buffer.size());
+  std::mt19937_64 rng(67);
+  TierGuard guard;
+  size_t packed_vectors = 0;
+  for (const DecodeKernels* k : AvailableTiers()) {
+    SCOPED_TRACE(kernels::TierName(k->tier));
+    ASSERT_TRUE(kernels::ForceTier(k->tier));
+    for (size_t v = 0; v < reader.vector_count(); ++v) {
+      ColumnReader<double>::PackedVectorView view;
+      if (!reader.GetPackedVectorView(v, &view)) continue;
+      ++packed_vectors;
+      alignas(64) uint64_t lanes[kVectorSize];
+      uint64_t side[kVectorSize / 64];
+      k->cmp_range64(view.packed, view.ffor.width, 0, ~uint64_t{0}, lanes, side);
+      for (const unsigned per_1024 : {16u, 120u, 127u, 128u, 129u, 512u, 1024u}) {
+        uint64_t bitmap[kVectorSize / 64] = {};
+        std::vector<uint64_t> want;
+        for (unsigned i = 0; i < view.n; ++i) {
+          if (rng() % 1024 < per_1024) {
+            bitmap[i / 64] |= uint64_t{1} << (i % 64);
+            want.push_back(BitsOf(data[v * kVectorSize + i]));
+          }
+        }
+        alignas(64) double ref[kVectorSize];
+        const unsigned ref_count = k->gather64(
+            lanes, view.ffor.base, AlpTraits<double>::kF10[view.c.f],
+            AlpTraits<double>::kIF10[view.c.e], bitmap, ref);
+        for (unsigned e = 0; e < view.exc_count; ++e) {
+          const unsigned pos = view.exc_positions[e];
+          if (!((bitmap[pos / 64] >> (pos % 64)) & 1u)) continue;
+          unsigned rank = 0;
+          for (unsigned i = 0; i < pos; ++i) rank += (bitmap[i / 64] >> (i % 64)) & 1u;
+          ref[rank] = std::bit_cast<double>(view.exc_bits[e]);
+        }
+        pushdown::EvalScratch scratch;
+        pushdown::VectorCounters counters;
+        alignas(64) double out[kVectorSize];
+        const unsigned count =
+            pushdown::GatherVector(reader, v, bitmap, &scratch, out, &counters);
+        ASSERT_EQ(count, ref_count);
+        ASSERT_EQ(count, want.size());
+        for (unsigned i = 0; i < count; ++i) {
+          ASSERT_EQ(BitsOf(out[i]), BitsOf(ref[i])) << "v=" << v << " i=" << i;
+          ASSERT_EQ(BitsOf(out[i]), want[i]) << "v=" << v << " i=" << i;
+        }
+      }
+    }
+  }
+  EXPECT_GT(packed_vectors, 0u);
 }
 
 TEST(PushdownParity, EmptyAndUniversalRanges) {

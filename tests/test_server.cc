@@ -21,6 +21,7 @@
 #include "util/cancellation.h"
 #include "util/fault_injection.h"
 #include "util/status.h"
+#include "test_fixtures.h"
 
 namespace alp {
 namespace {
@@ -358,14 +359,15 @@ TEST(Server, AggregateMatchesSerialSumAndUsesZoneMaps) {
   Server server({.workers = 2});
   ASSERT_TRUE(server.AddColumn("col", values.data(), values.size()).ok());
 
-  double expected = 0.0;
-  for (const double v : values) expected += v;
+  // The serial order of the summation contract (alp/pushdown.h), bit for
+  // bit.
+  const double expected = testutil::ContractSum(values);
   Request request;
   request.column = "col";
   request.query_class = QueryClass::kAggregate;
   const Response r = server.Execute(std::move(request));
   ASSERT_TRUE(r.status.ok());
-  EXPECT_DOUBLE_EQ(r.sum, expected);
+  EXPECT_EQ(BitsOf(r.sum), BitsOf(expected));
   EXPECT_EQ(r.tuples, values.size());
 
   // A filter that excludes every value must skip every vector via the zone
@@ -715,8 +717,7 @@ TEST(Server, StressMixedClassesManySubmittersTSanClean) {
   Server server({.workers = 4, .queue_capacity = 128, .tenant_quota = 64});
   ASSERT_TRUE(server.AddColumn("col", values.data(), values.size()).ok());
 
-  double expected_sum = 0.0;
-  for (const double v : values) expected_sum += v;
+  const double expected_sum = testutil::ContractSum(values);
 
   constexpr int kSubmitters = 4;
   constexpr int kPerThread = 50;
