@@ -22,7 +22,7 @@
 // (decode + compact) gather. A last section sweeps survivor density for
 // the two late-materialization strategies — the survivor-at-a-time gather
 // kernel against fused decode + compact — which is where
-// pushdown::kDenseGatherDivisor comes from.
+// pushdown::DenseGatherDivisor comes from.
 //
 // The binary enforces the bit-identity contract internally: all
 // strategies must produce bitwise-equal sums at every selectivity, at
@@ -310,10 +310,11 @@ int main(int argc, char** argv) {
       "skipped vectors are never fetched, and surviving vectors are compared\n"
       "as packed integers with only survivors materialized to doubles.\n");
 
+  const unsigned divisor = alp::pushdown::DenseGatherDivisor(alp::kernels::ActiveTier());
   std::printf("\nLate materialization by survivor density (cycles per vector, "
-              "Stocks-USA;\npushdown::kDenseGatherDivisor = %u switches to "
+              "Stocks-USA;\npushdown::DenseGatherDivisor(%s) = %u switches to "
               "decode + compact at 1/%u):\n",
-              alp::pushdown::kDenseGatherDivisor, alp::pushdown::kDenseGatherDivisor);
+              tier.c_str(), divisor, divisor);
   std::printf("%10s | %18s | %20s | %s\n", "density", "gather64", "decode+compact64",
               "cheaper");
   alp::bench::Rule('-', 72);

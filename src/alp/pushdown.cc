@@ -86,7 +86,7 @@ unsigned MaterializeSurvivors(const ColumnReader<double>& reader, size_t v,
                               bool lanes_unpacked, EvalScratch* scratch,
                               double* out) {
   const kernels::DecodeKernels& k = kernels::Active();
-  if (selected * kDenseGatherDivisor >= view.n) {
+  if (selected * DenseGatherDivisor(k.tier) >= view.n) {
     reader.DecodeVector(v, out);
     return selected == view.n ? selected : k.compact64(out, view.n, bitmap, out);
   }

@@ -6,6 +6,7 @@
 
 #include "alp/column.h"
 #include "alp/constants.h"
+#include "alp/kernel_dispatch.h"
 #include "alp/predicate.h"
 
 /// \file pushdown.h
@@ -33,9 +34,9 @@
 /// data-dependent stripe index, and none depends on the kernel tier.
 ///
 /// Late materialization picks by survivor density: at or above
-/// 1/kDenseGatherDivisor of the vector's lanes the fused SIMD decode plus an
-/// in-place compact64 is cheaper than the survivor-at-a-time gather, below
-/// it the gather kernel decodes only the selected lanes. Both produce the
+/// 1/DenseGatherDivisor(tier) of the vector's lanes the fused decode plus
+/// an in-place compact64 is cheaper than the survivor-at-a-time gather,
+/// below it the gather kernel decodes only the selected lanes. Both produce the
 /// same survivor array, bit for bit.
 ///
 /// Query fold: a rowgroup's partial is the in-order sum of its vectors'
@@ -75,10 +76,16 @@ struct VectorCounters {
 };
 
 /// Survivor density at which late materialization switches from the gather
-/// kernel to fused decode + compact64: at least 1/kDenseGatherDivisor of the
-/// vector's lanes selected. Picked from the bench_pushdown density sweep
-/// (DESIGN.md §9); a constant, not a knob.
-inline constexpr unsigned kDenseGatherDivisor = 8;
+/// kernel to fused decode + compact64: at least 1/DenseGatherDivisor(tier)
+/// of the vector's lanes selected, for the dispatched kernel tier. Picked
+/// from the bench_pushdown density sweep (DESIGN.md §9): the AVX2 and
+/// AVX-512 tiers cross over near 1/8, the scalar tier between 1/6 and 1/2.
+/// NEON compacts with the scalar store-and-advance loop, so it takes the
+/// scalar threshold (not yet measured on AArch64). A constant per tier, not
+/// a knob.
+constexpr unsigned DenseGatherDivisor(kernels::Tier tier) {
+  return tier == kernels::Tier::kAvx2 || tier == kernels::Tier::kAvx512 ? 8 : 4;
+}
 
 /// Reusable per-worker scratch: unpacked lanes (filled by the compare
 /// kernel, reused by the gather so lanes unpack once), survivor values,
@@ -177,8 +184,8 @@ bool SelectVector(const ColumnReader<double>& reader, size_t v,
 /// for kVectorSize values) in ascending index order, returning the
 /// survivor count. Works for any selection bitmap (the predicate is not
 /// needed). FFOR-packed vectors go through the gather kernel, or, at or
-/// above the kDenseGatherDivisor density, fused decode + compact64; other
-/// vectors decode and compact. \p bitmap must not be scratch->bitmap (the
+/// above the DenseGatherDivisor(tier) density, fused decode + compact64;
+/// other vectors decode and compact. \p bitmap must not be scratch->bitmap (the
 /// sparse gather unpacks lanes through the compare kernel, whose side
 /// bitmap lands there).
 unsigned GatherVector(const ColumnReader<double>& reader, size_t v,

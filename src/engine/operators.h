@@ -106,9 +106,8 @@ QueryResult RunFilterSum(const StoredColumn& column, const Predicate& pred,
                          FilterMode mode = FilterMode::kAuto);
 
 /// MIN/MAX aggregate. ALP columns answer from the zone maps alone - zero
-/// vectors decoded (vectors_skipped == all; a seekable column reads its
-/// resident index region, no chunk) - while every other storage scheme
-/// must materialize the data. NaNs are ignored, SQL-style.
+/// vectors decoded (vectors_skipped == all) - while every other storage
+/// scheme must materialize the data. NaNs are ignored, SQL-style.
 QueryResult RunMinMax(const StoredColumn& column, ThreadPool& pool, double* min_out,
                       double* max_out, const OpContext* ctx = nullptr);
 

@@ -254,6 +254,8 @@ TEST(Operators, MinMaxFromZoneMapsIsExact) {
   }
 }
 
+// Regression guard: a seekable column keeps its in-memory ColumnReader, so
+// MIN/MAX folds the zone map and never fetches a chunk.
 TEST(Operators, MinMaxOnSeekableColumnReadsOnlyTheResidentZoneMap) {
   const auto data = TestData(kRowgroupSize * 2 + 555);
   const auto in_memory = StoredColumn::MakeAlp(data.data(), data.size());

@@ -506,7 +506,7 @@ TEST(PushdownParity, MatchesSurvivorSumDefinitionEveryTier) {
 
 TEST(PushdownGather, DenseGatherBitwiseEqualsGatherKernelEveryTier) {
   // GatherVector switches to fused decode + compact64 at the
-  // kDenseGatherDivisor density; on both sides of the switch it must return
+  // DenseGatherDivisor(tier) density; on both sides of the switch it must return
   // exactly what the gather kernel (plus exception patching) returns — and
   // the raw values themselves, since the format is lossless.
   const auto data = WithSpecials(kVectorSize * 6 + 100);
@@ -525,7 +525,8 @@ TEST(PushdownGather, DenseGatherBitwiseEqualsGatherKernelEveryTier) {
       alignas(64) uint64_t lanes[kVectorSize];
       uint64_t side[kVectorSize / 64];
       k->cmp_range64(view.packed, view.ffor.width, 0, ~uint64_t{0}, lanes, side);
-      for (const unsigned per_1024 : {16u, 120u, 127u, 128u, 129u, 512u, 1024u}) {
+      for (const unsigned per_1024 :
+           {16u, 120u, 127u, 128u, 129u, 255u, 256u, 257u, 512u, 1024u}) {
         uint64_t bitmap[kVectorSize / 64] = {};
         std::vector<uint64_t> want;
         for (unsigned i = 0; i < view.n; ++i) {
