@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   alp::bench::ReportPerfProbe();
   constexpr uint64_t kBudget = 8'000'000;
 
-  std::vector<const alp::kernels::DecodeKernels*> simd;
+  std::vector<const alp::kernels::KernelTable*> simd;
   for (alp::kernels::Tier tier : kSimdTiers) {
     if (const auto* k = alp::kernels::TierKernels(tier)) simd.push_back(k);
   }

@@ -155,7 +155,7 @@ double Quantile(std::vector<double> values, double q) {
 /// survivor) against fused decode + in-place compact64.
 void GatherSweepRow(const alp::ColumnReader<double>& reader, double density,
                     const std::string& tier, alp::bench::JsonReport& report) {
-  const alp::kernels::DecodeKernels& k = alp::kernels::Active();
+  const alp::kernels::KernelTable& k = alp::kernels::Active();
   std::mt19937_64 rng(static_cast<uint64_t>(density * 1e6));
   std::vector<std::vector<uint64_t>> bitmaps;
   std::vector<size_t> packed;

@@ -51,26 +51,29 @@ int main(int argc, char** argv) {
     totals["ALP"].first += alp_comp;
     totals["ALP"].second += alp_dec;
     const std::string ds(spec.name);
-    // Decompression rides the dispatched kernel tier; tag those records so
-    // baseline comparisons (tools/bench_diff.py) stay within one tier.
+    // Compression and decompression both ride the dispatched kernel tier;
+    // tag those records so baseline comparisons (tools/bench_diff.py) stay
+    // within one tier.
     const std::string tier = alp::kernels::ActiveTierName();
-    json.Add(ds, "ALP", "compress_tuples_per_cycle", alp_comp, "tuples/cycle");
+    json.Add(ds, "ALP", "compress_tuples_per_cycle", alp_comp, "tuples/cycle", -1,
+             tier);
     json.Add(ds, "ALP", "decompress_tuples_per_cycle", alp_dec, "tuples/cycle",
              -1, tier);
     json.Add(ds, "ALP", "compress_cycles_per_value",
-             alp_comp == 0 ? 0.0 : 1.0 / alp_comp, "cycles/value");
+             alp_comp == 0 ? 0.0 : 1.0 / alp_comp, "cycles/value", -1, tier);
     json.Add(ds, "ALP", "decompress_cycles_per_value",
              alp_dec == 0 ? 0.0 : 1.0 / alp_dec, "cycles/value", -1, tier);
     // Hardware-counter attribution for the same hot loops (no-ops when
-    // perf_event is unavailable — the report stays rdtsc-only). Decode
-    // rates are tier-tagged like the cycle metrics above.
+    // perf_event is unavailable — the report stays rdtsc-only). Both rates
+    // are tier-tagged like the cycle metrics above.
     json.AddPerf(ds, "ALP", "compress",
                  alp::bench::MeasurePerfRates(
                      [&] {
                        alp::bench::AlpMicroCompress(data.data(), state,
                                                     &compressed_vec);
                      },
-                     alp::kVectorSize, kMinCycles));
+                     alp::kVectorSize, kMinCycles),
+                 -1, tier);
     json.AddPerf(ds, "ALP", "decompress",
                  alp::bench::MeasurePerfRates(
                      [&] { alp::bench::AlpMicroDecompress(compressed_vec, out); },

@@ -53,7 +53,7 @@ class ColumnAppender {
   /// Compressed bytes already finalized (excludes the open rowgroup).
   size_t compressed_bytes() const {
     size_t total = 0;
-    for (const auto& segment : segments_) total += segment.size();
+    for (const auto& segment : segments_) total += segment.bytes.size();
     return total;
   }
 
@@ -83,7 +83,7 @@ class ColumnAppender {
 
   SamplerConfig config_;
   std::vector<T> pending_;                     ///< The open (raw) rowgroup.
-  std::vector<std::vector<uint8_t>> segments_; ///< Compressed rowgroups.
+  std::vector<internal::RowgroupSegment> segments_; ///< Compressed rowgroups.
   std::vector<VectorStats> stats_;
   size_t flushed_values_ = 0;
   CompressionInfo info_;

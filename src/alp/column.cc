@@ -1,6 +1,7 @@
 #include "alp/column.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -104,46 +105,57 @@ struct RdVectorHeader {
 };
 static_assert(sizeof(RdVectorHeader) == 8);
 
-/// Appends one ALP-encoded vector to \p out. With \p try_delta, Delta
+/// Rounds \p bytes up to the format's 8-byte section alignment.
+constexpr size_t AlignUp8(size_t bytes) { return (bytes + 7) & ~size_t{7}; }
+
+/// Appends one ALP-encoded vector of \p n values to \p out at its exact
+/// size, bit-packing straight into the buffer. With \p try_delta, Delta
 /// (+ zig-zag) competes against FOR for the integer encoding and the
 /// narrower of the two wins (the paper's "somewhat ordered" extension).
 template <typename T>
-void WriteAlpVector(const EncodedVector<T>& enc, bool try_delta, ByteBuffer* out) {
+void WriteAlpVector(const EncodedVector<T>& enc, unsigned n, bool try_delta,
+                    ByteBuffer* out) {
   using Uint = typename AlpTraits<T>::Uint;
-  constexpr unsigned kLanes = fastlanes::kLanes<Uint>;
-
   const fastlanes::FforParams& ffor = enc.ffor;  // Computed during encoding.
 
   AlpVectorHeader header{};
   header.e = enc.combination.e;
   header.f = enc.combination.f;
   header.exc_count = enc.exc_count;
-  header.n = kVectorSize;  // Patched by the caller for tail vectors.
+  header.n = static_cast<uint16_t>(n);
+  header.int_encoding = kIntFfor;
+  header.width = static_cast<uint8_t>(ffor.width);
+  header.base = ffor.base;
 
-  Uint packed[kVectorSize];
+  ALP_OBS_SPAN(pack_span, "compress.pack", kVectorSize);
   fastlanes::DeltaParams delta;
-  bool use_delta = false;
-  {
-    ALP_OBS_SPAN(pack_span, "compress.pack", kVectorSize);
-    if constexpr (sizeof(T) == 8) {
-      if (try_delta) {
-        delta = fastlanes::DeltaAnalyze(enc.encoded, kVectorSize);
-        use_delta = delta.width < ffor.width;
-      }
-    }
-    if (use_delta) {
-      if constexpr (sizeof(T) == 8) {
-        fastlanes::DeltaEncode(enc.encoded, packed, delta);
+  if constexpr (sizeof(T) == 8) {
+    if (try_delta) {
+      delta = fastlanes::DeltaAnalyze(enc.encoded, kVectorSize);
+      if (delta.width < ffor.width) {
         header.int_encoding = kIntDelta;
         header.width = static_cast<uint8_t>(delta.width);
         header.base = static_cast<uint64_t>(delta.first);
       }
-    } else {
-      fastlanes::FforEncode(enc.encoded, packed, ffor);
-      header.int_encoding = kIntFfor;
-      header.width = static_cast<uint8_t>(ffor.width);
-      header.base = ffor.base;
     }
+  }
+  const size_t packed_bytes = fastlanes::PackedBytes<Uint>(header.width);
+  const size_t exc_value_bytes = size_t{enc.exc_count} * sizeof(Uint);
+  uint8_t* at = out->Extend(AlignUp8(sizeof(header) + packed_bytes + exc_value_bytes +
+                                     size_t{enc.exc_count} * sizeof(uint16_t)));
+  std::memcpy(at, &header, sizeof(header));
+  Uint* packed = reinterpret_cast<Uint*>(at + sizeof(header));
+  if (header.int_encoding == kIntDelta) {
+    if constexpr (sizeof(T) == 8) fastlanes::DeltaEncode(enc.encoded, packed, delta);
+  } else {
+    fastlanes::FforEncode(enc.encoded, packed, ffor);
+  }
+  // Exceptions: raw value bits, then positions.
+  uint8_t* exc_at = at + sizeof(header) + packed_bytes;
+  if (enc.exc_count > 0) {
+    std::memcpy(exc_at, enc.exceptions, exc_value_bytes);
+    std::memcpy(exc_at + exc_value_bytes, enc.exc_positions,
+                size_t{enc.exc_count} * sizeof(uint16_t));
   }
   ALP_OBS_ONLY({
     static obs::Histogram& widths = obs::MetricRegistry::Global().GetHistogram(
@@ -151,44 +163,54 @@ void WriteAlpVector(const EncodedVector<T>& enc, bool try_delta, ByteBuffer* out
         "bits");
     widths.Record(header.width);
   });
-  out->Append(header);
-  out->AppendArray(packed, static_cast<size_t>(header.width) * kLanes);
-  // Exceptions: raw value bits, then positions.
-  for (unsigned i = 0; i < enc.exc_count; ++i) out->Append(BitsOf(enc.exceptions[i]));
-  out->AppendArray(enc.exc_positions, enc.exc_count);
-  out->AlignTo(8);
 }
 
-/// Appends one ALP_rd-encoded vector to \p out.
+/// Appends one ALP_rd-encoded vector of \p n values to \p out at its exact
+/// size, bit-packing straight into the buffer.
 template <typename T>
-void WriteRdVector(const RdEncodedVector<T>& enc, const RdParams<T>& params,
+void WriteRdVector(const RdEncodedVector<T>& enc, unsigned n, const RdParams<T>& params,
                    ByteBuffer* out) {
   using Uint = typename AlpTraits<T>::Uint;
-  constexpr unsigned kLanes = fastlanes::kLanes<Uint>;
 
   RdVectorHeader header{};
   header.exc_count = enc.exc_count;
-  header.n = kVectorSize;  // Patched by the caller for tail vectors.
-  out->Append(header);
-
-  Uint packed[kVectorSize];
-  fastlanes::Pack(enc.right_parts, packed, params.right_bits);
-  out->AppendArray(packed, static_cast<size_t>(params.right_bits) * kLanes);
+  header.n = static_cast<uint16_t>(n);
+  const size_t right_bytes = fastlanes::PackedBytes<Uint>(params.right_bits);
+  const size_t code_bytes = fastlanes::PackedBytes<Uint>(params.dict_width);
+  const size_t exc_bytes = size_t{enc.exc_count} * sizeof(uint16_t);
+  uint8_t* at = out->Extend(
+      AlignUp8(sizeof(header) + right_bytes + code_bytes + 2 * exc_bytes));
+  std::memcpy(at, &header, sizeof(header));
+  at += sizeof(header);
+  fastlanes::Pack(enc.right_parts, reinterpret_cast<Uint*>(at), params.right_bits);
+  at += right_bytes;
 
   Uint codes[kVectorSize];
   for (unsigned i = 0; i < kVectorSize; ++i) codes[i] = enc.left_codes[i];
-  fastlanes::Pack(codes, packed, params.dict_width);
-  out->AppendArray(packed, static_cast<size_t>(params.dict_width) * kLanes);
+  fastlanes::Pack(codes, reinterpret_cast<Uint*>(at), params.dict_width);
+  at += code_bytes;
 
-  out->AppendArray(enc.exceptions, enc.exc_count);
-  out->AppendArray(enc.exc_positions, enc.exc_count);
-  out->AlignTo(8);
+  if (enc.exc_count > 0) {
+    std::memcpy(at, enc.exceptions, exc_bytes);
+    std::memcpy(at + exc_bytes, enc.exc_positions, exc_bytes);
+  }
+}
+
+/// Upper bound of a rowgroup segment's size for data that compresses to
+/// at most its raw size: the rowgroup and ALP_rd headers, the vector
+/// offsets and, per vector, a header plus alignment padding.
+template <typename T>
+size_t SegmentSizeHint(size_t n) {
+  const size_t vectors = (n + kVectorSize - 1) / kVectorSize;
+  return sizeof(RowgroupHeader) + sizeof(RdHeader) + AlignUp8(vectors * sizeof(uint32_t)) +
+         vectors * (sizeof(AlpVectorHeader) + 8) + n * sizeof(T);
 }
 
 /// Compresses one rowgroup (scheme analysis + per-vector encode) starting
-/// at the current, 8-aligned position of \p out. Rowgroup payloads are
-/// position-independent (vector offsets are relative to the rowgroup
-/// start), which is what lets ColumnAppender build them incrementally.
+/// at the current, 8-aligned position of \p out, which it leaves 8-aligned.
+/// Rowgroup payloads are position-independent (vector offsets are relative
+/// to the rowgroup start), which is what lets ColumnAppender build them
+/// incrementally.
 template <typename T>
 void CompressRowgroupTo(const T* rg_data, size_t rg_len, const SamplerConfig& config,
                         ByteBuffer* out, VectorStats* stats, CompressionInfo* info) {
@@ -246,14 +268,14 @@ void CompressRowgroupTo(const T* rg_data, size_t rg_len, const SamplerConfig& co
     const size_t off = static_cast<size_t>(v) * kVectorSize;
     const unsigned len = static_cast<unsigned>(std::min<size_t>(kVectorSize, rg_len - off));
     vec_offsets[v] = static_cast<uint32_t>(out->size() - rg_begin);
-    const size_t vec_header_at = out->size();
 
-    // Zone map entry (NaNs fail both comparisons and are excluded).
-    VectorStats& vs = stats[v];
-    for (unsigned i = 0; i < len; ++i) {
-      const double value = static_cast<double>(rg_data[off + i]);
-      vs.min = value < vs.min ? value : vs.min;
-      vs.max = value > vs.max ? value : vs.max;
+    {
+      // Zone map entry (NaNs are excluded; see kernels::MinMax).
+      ALP_OBS_SPAN(zonemap_span, "compress.zonemap", len);
+      double min_max[2];
+      kernels::MinMax(rg_data + off, len, min_max);
+      stats[v].min = min_max[0];
+      stats[v].max = min_max[1];
     }
 
     if (analysis.scheme == Scheme::kAlp) {
@@ -268,9 +290,10 @@ void CompressRowgroupTo(const T* rg_data, size_t rg_len, const SamplerConfig& co
         ALP_OBS_SPAN(encode_span, "compress.encode", len);
         EncodeVector(rg_data + off, len, c, &enc);
       }
-      WriteAlpVector(enc, config.try_delta_encoding, out);
-      out->PatchAt(vec_header_at + offsetof(AlpVectorHeader, n),
-                   static_cast<uint16_t>(len));
+      {
+        ALP_OBS_SPAN(write_span, "compress.write", len);
+        WriteAlpVector(enc, len, config.try_delta_encoding, out);
+      }
       if (info != nullptr) info->exceptions += enc.exc_count;
     } else {
       RdEncodedVector<T> enc;
@@ -278,9 +301,8 @@ void CompressRowgroupTo(const T* rg_data, size_t rg_len, const SamplerConfig& co
         ALP_OBS_SPAN(encode_rd_span, "compress.encode_rd", len);
         RdEncodeVector(rg_data + off, len, rd_params, &enc);
       }
-      WriteRdVector(enc, rd_params, out);
-      out->PatchAt(vec_header_at + offsetof(RdVectorHeader, n),
-                   static_cast<uint16_t>(len));
+      ALP_OBS_SPAN(write_span, "compress.write", len);
+      WriteRdVector(enc, len, rd_params, out);
     }
     if (info != nullptr) ++info->vectors;
   }
@@ -290,52 +312,57 @@ void CompressRowgroupTo(const T* rg_data, size_t rg_len, const SamplerConfig& co
 }
 
 /// Assembles a full column buffer from per-rowgroup payload segments
-/// produced by CompressRowgroupTo. Shared by CompressColumn (one pass) and
-/// ColumnAppender::Finish (incremental).
+/// produced by CompressRowgroupTo, each already checksummed by the thread
+/// that built it. Shared by CompressColumn (one pass) and
+/// ColumnAppender::Finish (incremental). The index region (header, offsets,
+/// checksums, zone map, header checksum) is built first; the output is then
+/// one exact-size allocation filled by one copy per piece.
 template <typename T>
 std::vector<uint8_t> AssembleColumn(uint64_t value_count,
-                                    const std::vector<std::vector<uint8_t>>& segments,
+                                    const std::vector<internal::RowgroupSegment>& segments,
                                     const std::vector<VectorStats>& stats) {
   ALP_OBS_SPAN(assemble_span, "compress.assemble", value_count);
-  ByteBuffer out;
+  ByteBuffer index;
   ColumnHeader header{};
   header.magic = kMagic;
   header.version = kVersion;
   header.type = TypeTag<T>();
   header.value_count = value_count;
   header.rowgroup_count = static_cast<uint32_t>(std::max<size_t>(segments.size(), 1));
-  out.Append(header);
-  const size_t rg_offsets_slot = out.ReserveSlot<uint64_t>(header.rowgroup_count);
-  const size_t rg_checksums_slot = out.ReserveSlot<uint64_t>(header.rowgroup_count);
-  const size_t stats_slot = out.ReserveSlot<VectorStats>(stats.size());
-  const size_t header_checksum_slot = out.ReserveSlot<uint64_t>();
-  out.AlignTo(8);
-
-  std::vector<uint64_t> rg_offsets(header.rowgroup_count, out.size());
-  for (size_t rg = 0; rg < segments.size(); ++rg) {
-    rg_offsets[rg] = out.size();
-    out.AppendArray(segments[rg].data(), segments[rg].size());
-    out.AlignTo(8);
-  }
-  out.PatchArrayAt(rg_offsets_slot, rg_offsets.data(), rg_offsets.size());
-  if (!stats.empty()) out.PatchArrayAt(stats_slot, stats.data(), stats.size());
+  const IndexLayout layout = ComputeIndexLayout(kVersion, header.rowgroup_count, stats.size());
+  index.Reserve(layout.payload_begin);
+  index.Append(header);
 
   // Rowgroup checksum i covers [offset_i, offset_{i+1}) — or to the end of
-  // the buffer for the last rowgroup — i.e. the payload plus its alignment
-  // padding, so the whole file is covered by header+rowgroup checksums.
-  ALP_OBS_SPAN(checksum_span, "compress.checksum", out.size());
-  std::vector<uint64_t> rg_checksums(header.rowgroup_count, 0);
-  for (size_t rg = 0; rg < rg_offsets.size(); ++rg) {
-    const size_t begin = rg_offsets[rg];
-    const size_t end = rg + 1 < rg_offsets.size() ? rg_offsets[rg + 1] : out.size();
-    rg_checksums[rg] = Checksum64(out.data() + begin, end - begin);
+  // the buffer for the last rowgroup — i.e. the whole segment, whose size
+  // is a multiple of 8, so the whole file is covered by header+rowgroup
+  // checksums.
+  std::vector<uint64_t> rg_offsets(header.rowgroup_count, layout.payload_begin);
+  std::vector<uint64_t> rg_checksums(header.rowgroup_count, Checksum64(nullptr, 0));
+  uint64_t offset = layout.payload_begin;
+  for (size_t rg = 0; rg < segments.size(); ++rg) {
+    rg_offsets[rg] = offset;
+    rg_checksums[rg] = segments[rg].checksum;
+    offset += segments[rg].bytes.size();
   }
-  out.PatchArrayAt(rg_checksums_slot, rg_checksums.data(), rg_checksums.size());
+  index.AppendArray(rg_offsets.data(), rg_offsets.size());
+  index.AppendArray(rg_checksums.data(), rg_checksums.size());
+  index.AppendArray(stats.data(), stats.size());
+  {
+    // The header checksum covers every byte before its own slot: column
+    // header, rowgroup offsets, rowgroup checksums and the zone map.
+    ALP_OBS_SPAN(checksum_span, "compress.checksum", index.size());
+    index.Append(Checksum64(index.data(), index.size()));
+  }
+  assert(index.size() == layout.payload_begin);
 
-  // The header checksum covers every byte before its own slot: column
-  // header, rowgroup offsets, rowgroup checksums and the zone map.
-  out.PatchAt(header_checksum_slot, Checksum64(out.data(), header_checksum_slot));
-  return out.Take();
+  std::vector<uint8_t> out;
+  out.reserve(offset);
+  out.insert(out.end(), index.data(), index.data() + index.size());
+  for (const internal::RowgroupSegment& segment : segments) {
+    out.insert(out.end(), segment.bytes.begin(), segment.bytes.end());
+  }
+  return out;
 }
 
 }  // namespace
@@ -345,38 +372,46 @@ namespace internal {
 /// Compresses one rowgroup into a standalone payload segment; exposed for
 /// ColumnAppender.
 template <typename T>
-std::vector<uint8_t> CompressRowgroupSegment(const T* data, size_t n,
-                                             const SamplerConfig& config,
-                                             std::vector<VectorStats>* stats,
-                                             CompressionInfo* info) {
+RowgroupSegment CompressRowgroupSegment(const T* data, size_t n,
+                                        const SamplerConfig& config,
+                                        std::vector<VectorStats>* stats,
+                                        CompressionInfo* info) {
   ByteBuffer segment;
+  segment.Reserve(SegmentSizeHint<T>(n));
   const size_t vectors = (n + kVectorSize - 1) / kVectorSize;
   std::vector<VectorStats> local(vectors);
   CompressRowgroupTo(data, n, config, &segment, local.data(), info);
   stats->insert(stats->end(), local.begin(), local.end());
-  return segment.Take();
+  assert(segment.size() % 8 == 0);
+  RowgroupSegment out;
+  {
+    ALP_OBS_SPAN(checksum_span, "compress.checksum", segment.size());
+    out.checksum = Checksum64(segment.data(), segment.size());
+  }
+  out.bytes = segment.Take();
+  return out;
 }
 
-template std::vector<uint8_t> CompressRowgroupSegment<double>(
-    const double*, size_t, const SamplerConfig&, std::vector<VectorStats>*,
-    CompressionInfo*);
-template std::vector<uint8_t> CompressRowgroupSegment<float>(
-    const float*, size_t, const SamplerConfig&, std::vector<VectorStats>*,
-    CompressionInfo*);
+template RowgroupSegment CompressRowgroupSegment<double>(const double*, size_t,
+                                                         const SamplerConfig&,
+                                                         std::vector<VectorStats>*,
+                                                         CompressionInfo*);
+template RowgroupSegment CompressRowgroupSegment<float>(const float*, size_t,
+                                                        const SamplerConfig&,
+                                                        std::vector<VectorStats>*,
+                                                        CompressionInfo*);
 
 template <typename T>
-std::vector<uint8_t> AssembleColumnFromSegments(
-    uint64_t value_count, const std::vector<std::vector<uint8_t>>& segments,
-    const std::vector<VectorStats>& stats) {
+std::vector<uint8_t> AssembleColumnFromSegments(uint64_t value_count,
+                                                const std::vector<RowgroupSegment>& segments,
+                                                const std::vector<VectorStats>& stats) {
   return AssembleColumn<T>(value_count, segments, stats);
 }
 
 template std::vector<uint8_t> AssembleColumnFromSegments<double>(
-    uint64_t, const std::vector<std::vector<uint8_t>>&,
-    const std::vector<VectorStats>&);
+    uint64_t, const std::vector<RowgroupSegment>&, const std::vector<VectorStats>&);
 template std::vector<uint8_t> AssembleColumnFromSegments<float>(
-    uint64_t, const std::vector<std::vector<uint8_t>>&,
-    const std::vector<VectorStats>&);
+    uint64_t, const std::vector<RowgroupSegment>&, const std::vector<VectorStats>&);
 
 }  // namespace internal
 
@@ -395,7 +430,7 @@ std::vector<uint8_t> CompressColumnImpl(const T* data, size_t n,
   const size_t rowgroup_count =
       std::max<size_t>((total_vectors + kRowgroupVectors - 1) / kRowgroupVectors, 1);
 
-  std::vector<std::vector<uint8_t>> segments(rowgroup_count);
+  std::vector<internal::RowgroupSegment> segments(rowgroup_count);
   std::vector<std::vector<VectorStats>> rg_stats(rowgroup_count);
   std::vector<CompressionInfo> rg_infos(info != nullptr ? rowgroup_count : 0);
   ParallelFor(pool, rowgroup_count, [&](size_t rg) {

@@ -419,19 +419,27 @@ void DecompressColumn(const std::vector<uint8_t>& buffer, T* out);
 
 namespace internal {
 
+/// One compressed rowgroup payload with the XXH64 of its bytes, as the
+/// column's rowgroup checksum stores it. The payload is a multiple of 8
+/// bytes long, so it needs no padding in front of the next rowgroup.
+struct RowgroupSegment {
+  std::vector<uint8_t> bytes;
+  uint64_t checksum = 0;
+};
+
 /// Compresses one rowgroup (<= kRowgroupSize values) into a standalone,
 /// position-independent payload segment, appending its per-vector zone map
 /// entries to \p stats. Building block of ColumnAppender.
 template <typename T>
-std::vector<uint8_t> CompressRowgroupSegment(const T* data, size_t n,
-                                             const SamplerConfig& config,
-                                             std::vector<VectorStats>* stats,
-                                             CompressionInfo* info);
+RowgroupSegment CompressRowgroupSegment(const T* data, size_t n,
+                                        const SamplerConfig& config,
+                                        std::vector<VectorStats>* stats,
+                                        CompressionInfo* info);
 
 /// Assembles a full column buffer from rowgroup segments.
 template <typename T>
 std::vector<uint8_t> AssembleColumnFromSegments(
-    uint64_t value_count, const std::vector<std::vector<uint8_t>>& segments,
+    uint64_t value_count, const std::vector<RowgroupSegment>& segments,
     const std::vector<VectorStats>& stats);
 
 /// Parsed and verified header/index region of a column file: everything a

@@ -21,6 +21,9 @@ inline constexpr unsigned kVectorSize = 1024;
 inline constexpr unsigned kRowgroupVectors = 100;
 inline constexpr unsigned kRowgroupSize = kVectorSize * kRowgroupVectors;
 
+/// Maximum ALP_rd left-part dictionary size (paper Section 3.4: 2^3).
+inline constexpr unsigned kRdMaxDictSize = 8;
+
 /// One (exponent e, factor f) pair; f <= e always holds.
 struct Combination {
   uint8_t e = 0;

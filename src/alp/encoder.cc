@@ -1,8 +1,7 @@
 #include "alp/encoder.h"
 
 #include <algorithm>
-#include <cstring>
-#include <limits>
+#include <bit>
 
 #include "alp/kernel_dispatch.h"
 #include "obs/trace.h"
@@ -10,16 +9,6 @@
 
 namespace alp {
 namespace {
-
-/// ALP_enc for one value (Formula 1). The arithmetic always runs at double
-/// precision: for the float port (Section 4.4) this is what makes the
-/// compressed representation identical to the 64-bit one - float-precision
-/// inverse powers of ten are too inaccurate for the round-trip to succeed.
-template <typename T>
-inline typename AlpTraits<T>::Int AlpEnc(T n, double f10_e, double if10_f) {
-  return static_cast<typename AlpTraits<T>::Int>(
-      FastRound(static_cast<double>(n) * f10_e * if10_f));
-}
 
 /// ALP_dec for one value (Formula 2). The two multiplications must stay
 /// separate (in this order) to reproduce the exact rounding the encoder
@@ -35,50 +24,36 @@ template <typename T>
 void EncodeVector(const T* in, unsigned n, Combination c, EncodedVector<T>* out) {
   using Traits = AlpTraits<T>;
   using Int = typename Traits::Int;
-
-  const double f10_e = AlpTraits<double>::kF10[c.e];
-  const double if10_f = AlpTraits<double>::kIF10[c.f];
-  const double f10_f = AlpTraits<double>::kF10[c.f];
-  const double if10_e = AlpTraits<double>::kIF10[c.e];
+  using Uint = typename Traits::Uint;
   out->combination = c;
 
-  // Encode + immediately re-decode every value (both loops branch-free).
-  T decoded[kVectorSize];
-  for (unsigned i = 0; i < n; ++i) {
-    const Int d = AlpEnc(in[i], f10_e, if10_f);
-    out->encoded[i] = d;
-    decoded[i] = AlpDec<T>(d, f10_f, if10_e);
+  // One dispatched pass: ALP_enc, the bitwise verify re-decode (so NaNs,
+  // infinities and -0.0 are never silently altered), the exception bitmap
+  // and the FOR frame over the valid integers.
+  uint64_t exc_bitmap[kVectorSize / 64];
+  Int frame[2];
+  const unsigned exc_count =
+      kernels::AlpEncode(in, n, c, out->encoded, exc_bitmap, frame);
+
+  // Exception positions, ascending, from the bitmap.
+  unsigned k = 0;
+  for (unsigned w = 0; w < kVectorSize / 64; ++w) {
+    for (uint64_t bits = exc_bitmap[w]; bits != 0; bits &= bits - 1) {
+      out->exc_positions[k++] =
+          static_cast<uint16_t>(w * 64 + static_cast<unsigned>(std::countr_zero(bits)));
+    }
   }
 
-  // Find exceptions with a predicated (branch-free) comparison - bitwise,
-  // so NaNs, infinities and -0.0 are never silently altered - and fold the
-  // FOR frame (min/max over the *valid* integers) into the same pass so
-  // bit-packing needs no further analysis.
-  unsigned exc_count = 0;
-  Int min = std::numeric_limits<Int>::max();
-  Int max = std::numeric_limits<Int>::min();
-  for (unsigned i = 0; i < n; ++i) {
-    const bool neq = BitsOf(decoded[i]) != BitsOf(in[i]);
-    out->exc_positions[exc_count] = static_cast<uint16_t>(i);
-    exc_count += neq;
-    // Valid slots participate in the frame; exception slots repeat the
-    // current min/max (branch-free select).
-    const Int d = out->encoded[i];
-    min = (!neq && d < min) ? d : min;
-    max = (!neq && d > max) ? d : max;
-  }
-
-  // First successfully encoded value (any non-exception slot); fall back to
-  // 0 when the entire vector is exceptional. The exception positions array
-  // is sorted, so the first gap in it is the first valid slot.
+  // First successfully encoded value (the first clear bit below n); fall
+  // back to 0 when the entire vector is exceptional.
   Int first_encoded = 0;
   if (exc_count < n) {
-    unsigned p = 0;
-    for (unsigned i = 0; i < exc_count && out->exc_positions[i] == p; ++i) ++p;
-    first_encoded = out->encoded[p];
+    unsigned w = 0;
+    while (exc_bitmap[w] == ~uint64_t{0}) ++w;
+    first_encoded = out->encoded[w * 64 + static_cast<unsigned>(std::countr_one(exc_bitmap[w]))];
   }
 
-  // Fetch exceptions and patch their slots.
+  // Fetch exceptions and patch their slots so they never widen the frame.
   for (unsigned i = 0; i < exc_count; ++i) {
     const uint16_t pos = out->exc_positions[i];
     out->exceptions[i] = in[pos];
@@ -90,11 +65,8 @@ void EncodeVector(const T* in, unsigned n, Combination c, EncodedVector<T>* out)
   for (unsigned i = n; i < kVectorSize; ++i) out->encoded[i] = first_encoded;
 
   // The frame: all-exception vectors collapse to {first_encoded} = {0}.
-  if (exc_count >= n) {
-    min = first_encoded;
-    max = first_encoded;
-  }
-  using Uint = typename Traits::Uint;
+  const Int min = exc_count >= n ? first_encoded : frame[0];
+  const Int max = exc_count >= n ? first_encoded : frame[1];
   out->ffor.base = static_cast<uint64_t>(static_cast<Uint>(min));
   out->ffor.width = BitWidth(static_cast<Uint>(static_cast<Uint>(max) - static_cast<Uint>(min)));
 
@@ -172,11 +144,6 @@ uint64_t EstimateCompressedBits(const T* in, unsigned n, Combination c,
   using Int = typename Traits::Int;
   using Uint = typename Traits::Uint;
 
-  const double f10_e = AlpTraits<double>::kF10[c.e];
-  const double if10_f = AlpTraits<double>::kIF10[c.f];
-  const double f10_f = AlpTraits<double>::kF10[c.f];
-  const double if10_e = AlpTraits<double>::kIF10[c.e];
-
   // Exceptions alone disqualify a combination once they cost more than the
   // best candidate seen so far.
   const unsigned abort_exceptions =
@@ -185,30 +152,16 @@ uint64_t EstimateCompressedBits(const T* in, unsigned n, Combination c,
           : static_cast<unsigned>(
                 std::min<uint64_t>(abort_above / Traits::kExceptionBits + 1, n + 1));
 
-  unsigned exc_count = 0;
-  Int min = 0;
-  Int max = 0;
-  bool any = false;
-  for (unsigned i = 0; i < n; ++i) {
-    const Int d = AlpEnc(in[i], f10_e, if10_f);
-    const T dec = AlpDec<T>(d, f10_f, if10_e);
-    if (BitsOf(dec) != BitsOf(in[i])) {
-      if (++exc_count >= abort_exceptions) {
-        if (exc_count_out != nullptr) *exc_count_out = exc_count;
-        return UINT64_MAX;
-      }
-      continue;
-    }
-    if (!any) {
-      min = max = d;
-      any = true;
-    } else {
-      min = d < min ? d : min;
-      max = d > max ? d : max;
-    }
+  Int frame[2];
+  const unsigned exc_count = kernels::AlpEstimate(in, n, c, abort_exceptions, frame);
+  if (exc_count >= abort_exceptions) {
+    // The kernel may count past the abort point; report where it lies.
+    if (exc_count_out != nullptr) *exc_count_out = abort_exceptions;
+    return UINT64_MAX;
   }
   const unsigned width =
-      any ? BitWidth(static_cast<Uint>(static_cast<Uint>(max) - static_cast<Uint>(min)))
+      exc_count < n
+          ? BitWidth(static_cast<Uint>(static_cast<Uint>(frame[1]) - static_cast<Uint>(frame[0])))
           : 0;
   if (exc_count_out != nullptr) *exc_count_out = exc_count;
   return static_cast<uint64_t>(n) * width +

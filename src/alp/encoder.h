@@ -18,8 +18,10 @@
 ///      successfully-encoded integer so the FFOR bit width is unaffected,
 ///   4. hands the int64 vector to FFOR (fused FOR + bit-packing).
 ///
-/// Everything in the hot loops is free of data-dependent control flow so
-/// the compiler auto-vectorizes (the paper's central design point).
+/// Steps 1-3 and the sampler's size estimate run in the runtime-dispatched
+/// encode kernels of alp/kernel_dispatch.h, free of data-dependent control
+/// flow at every ISA tier (the paper's central design point); the output
+/// bytes do not depend on the tier.
 
 namespace alp {
 

@@ -19,9 +19,9 @@ namespace {
 // The resolved selection. Null until the first Active() call; Resolve() is
 // idempotent so concurrent first calls are fine (both compute the same
 // pick, one CAS wins).
-std::atomic<const DecodeKernels*> g_active{nullptr};
+std::atomic<const KernelTable*> g_active{nullptr};
 
-const DecodeKernels* KernelsCompiledFor(Tier tier) {
+const KernelTable* KernelsCompiledFor(Tier tier) {
   switch (tier) {
     case Tier::kScalar: return GetScalarKernels();
     case Tier::kNeon: return GetNeonKernels();
@@ -31,8 +31,8 @@ const DecodeKernels* KernelsCompiledFor(Tier tier) {
   return nullptr;
 }
 
-const DecodeKernels* Resolve() {
-  const DecodeKernels* pick = nullptr;
+const KernelTable* Resolve() {
+  const KernelTable* pick = nullptr;
   if (const char* env = std::getenv("ALP_FORCE_KERNEL"); env != nullptr && *env != '\0') {
     const std::string_view name(env);
     Tier tier;
@@ -55,7 +55,7 @@ const DecodeKernels* Resolve() {
     pick = TierKernels(BestTier());
   }
   if (pick == nullptr) pick = GetScalarKernels();
-  const DecodeKernels* expected = nullptr;
+  const KernelTable* expected = nullptr;
   g_active.compare_exchange_strong(expected, pick, std::memory_order_acq_rel);
   return g_active.load(std::memory_order_acquire);
 }
@@ -116,12 +116,12 @@ Tier BestTier() {
   return Tier::kScalar;
 }
 
-const DecodeKernels* TierKernels(Tier tier) {
+const KernelTable* TierKernels(Tier tier) {
   return TierAvailable(tier) ? KernelsCompiledFor(tier) : nullptr;
 }
 
-const DecodeKernels& Active() {
-  const DecodeKernels* k = g_active.load(std::memory_order_acquire);
+const KernelTable& Active() {
+  const KernelTable* k = g_active.load(std::memory_order_acquire);
   return k != nullptr ? *k : *Resolve();
 }
 
@@ -130,7 +130,7 @@ Tier ActiveTier() { return Active().tier; }
 const char* ActiveTierName() { return TierName(ActiveTier()); }
 
 bool ForceTier(Tier tier) {
-  const DecodeKernels* k = TierKernels(tier);
+  const KernelTable* k = TierKernels(tier);
   if (k == nullptr) return false;
   g_active.store(k, std::memory_order_release);
   return true;

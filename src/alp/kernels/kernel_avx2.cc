@@ -21,6 +21,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "fastlanes/bitpack.h"
@@ -29,6 +30,8 @@ namespace alp::kernels {
 namespace {
 
 constexpr Tier kSelfTier = Tier::kAvx2;
+
+#include "alp/kernels/encode_portable.inc"
 
 inline __m256d Int64ToDouble(__m256i v) {
   const __m256i magic_lo = _mm256_set1_epi64x(0x4330000000000000);  // 2^52
@@ -239,11 +242,332 @@ unsigned CompactWord64(const double* v, uint64_t bits, double* out) {
   return k;
 }
 
+// ---------------------------------------------------------------------------
+// Encode side. Whole registers here, the tail (fewer than one register of
+// values) in the portable loop, which applies the same IEEE operations
+// value by value.
+// ---------------------------------------------------------------------------
+
+constexpr uint8_t kMaskCount4[16] = {0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4};
+
+/// Broadcast (e, f) multipliers.
+struct Factors4 {
+  __m256d f10_e, if10_f, f10_f, if10_e;
+  explicit Factors4(const EncFactors& f)
+      : f10_e(_mm256_set1_pd(f.f10_e)),
+        if10_f(_mm256_set1_pd(f.if10_f)),
+        f10_f(_mm256_set1_pd(f.f10_f)),
+        if10_e(_mm256_set1_pd(f.if10_e)) {}
+};
+
+/// ALP_enc of 4 doubles (EncOne, lane-wise) together with the exact double
+/// of the result: the low 52 mantissa bits m of scaled + 2^52 + 2^51 give
+/// d = m - 2^51, and (2^52 + m) - (2^52 + 2^51) is that same integer as a
+/// double, so the verify needs no int64 -> double conversion.
+struct Encoded4 {
+  __m256i d;
+  __m256d as_double;
+};
+
+inline Encoded4 Encode4(__m256d x, const Factors4& f) {
+  using D = alp::AlpTraits<double>;
+  const __m256d magic = _mm256_set1_pd(D::kMagic);
+  const __m256d scaled = _mm256_mul_pd(_mm256_mul_pd(x, f.f10_e), f.if10_f);
+  const __m256i m = _mm256_and_si256(
+      _mm256_castpd_si256(_mm256_add_pd(scaled, magic)),
+      _mm256_set1_epi64x(static_cast<long long>(D::kMagicMantissaMask)));
+  const __m256d two52_plus_m =
+      _mm256_castsi256_pd(_mm256_or_si256(m, _mm256_set1_epi64x(0x4330000000000000)));
+  return {_mm256_sub_epi64(m, _mm256_set1_epi64x(D::kMagicBias)),
+          _mm256_sub_pd(two52_plus_m, magic)};
+}
+
+/// All-ones in lanes where in == its re-decode, bitwise.
+inline __m256i RoundTrips4(__m256d x, const Encoded4& e, const Factors4& f) {
+  const __m256d dec = _mm256_mul_pd(_mm256_mul_pd(e.as_double, f.f10_f), f.if10_e);
+  return _mm256_cmpeq_epi64(_mm256_castpd_si256(dec), _mm256_castpd_si256(x));
+}
+
+inline unsigned FailMask4(__m256i ok) {
+  return ~static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(ok))) & 0xF;
+}
+
+/// Valid-lane frame: lanes where `ok` is set fold d into lo / hi.
+inline void FoldFrame4(__m256i d, __m256i ok, __m256i* lo, __m256i* hi) {
+  *lo = _mm256_blendv_epi8(*lo, d, _mm256_and_si256(ok, _mm256_cmpgt_epi64(*lo, d)));
+  *hi = _mm256_blendv_epi8(*hi, d, _mm256_and_si256(ok, _mm256_cmpgt_epi64(d, *hi)));
+}
+
+inline void ReduceFrame4(__m256i lo, __m256i hi, int64_t* frame) {
+  alignas(32) int64_t l[4];
+  alignas(32) int64_t h[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(l), lo);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(h), hi);
+  for (unsigned k = 0; k < 4; ++k) {
+    frame[0] = l[k] < frame[0] ? l[k] : frame[0];
+    frame[1] = h[k] > frame[1] ? h[k] : frame[1];
+  }
+}
+
+/// Float lanes: 4 floats widen to doubles, encode, and keep the low 32 bits
+/// of each result (the scalar int64 -> int32 cast); the re-decode narrows
+/// back to float with the same rounding as a scalar cast.
+struct EncodedFloat4 {
+  __m128i d;
+  __m128i ok;
+};
+
+inline EncodedFloat4 EncodeFloat4(__m128 x, const Factors4& f) {
+  const Encoded4 e = Encode4(_mm256_cvtps_pd(x), f);
+  const __m128i d = _mm256_castsi256_si128(
+      _mm256_permutevar8x32_epi32(e.d, _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6)));
+  const __m128 dec = _mm256_cvtpd_ps(
+      _mm256_mul_pd(_mm256_mul_pd(_mm256_cvtepi32_pd(d), f.f10_f), f.if10_e));
+  return {d, _mm_cmpeq_epi32(_mm_castps_si128(dec), _mm_castps_si128(x))};
+}
+
+inline unsigned FailMaskFloat4(__m128i ok) {
+  return ~static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(ok))) & 0xF;
+}
+
+inline void FoldFrameFloat4(__m128i d, __m128i ok, __m128i* lo, __m128i* hi) {
+  *lo = _mm_blendv_epi8(*lo, _mm_min_epi32(*lo, d), ok);
+  *hi = _mm_blendv_epi8(*hi, _mm_max_epi32(*hi, d), ok);
+}
+
+inline void ReduceFrameFloat4(__m128i lo, __m128i hi, int32_t* frame) {
+  alignas(16) int32_t l[4];
+  alignas(16) int32_t h[4];
+  _mm_store_si128(reinterpret_cast<__m128i*>(l), lo);
+  _mm_store_si128(reinterpret_cast<__m128i*>(h), hi);
+  for (unsigned k = 0; k < 4; ++k) {
+    frame[0] = l[k] < frame[0] ? l[k] : frame[0];
+    frame[1] = h[k] > frame[1] ? h[k] : frame[1];
+  }
+}
+
+unsigned AlpEncode64(const double* in, unsigned n, alp::Combination c, int64_t* encoded,
+                     uint64_t* exc_bitmap, int64_t* frame) {
+  ClearEncodeState<double>(exc_bitmap, frame);
+  const EncFactors ef = FactorsOf(c);
+  const Factors4 f(ef);
+  __m256i lo = _mm256_set1_epi64x(frame[0]);
+  __m256i hi = _mm256_set1_epi64x(frame[1]);
+  unsigned exc = 0;
+  const unsigned full = n & ~3u;
+  for (unsigned i = 0; i < full; i += 4) {
+    const __m256d x = _mm256_loadu_pd(in + i);
+    const Encoded4 e = Encode4(x, f);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(encoded + i), e.d);
+    const __m256i ok = RoundTrips4(x, e, f);
+    FoldFrame4(e.d, ok, &lo, &hi);
+    const unsigned fails = FailMask4(ok);
+    exc_bitmap[i / 64] |= static_cast<uint64_t>(fails) << (i % 64);
+    exc += kMaskCount4[fails];
+  }
+  ReduceFrame4(lo, hi, frame);
+  return exc + EncodeRange(in, full, n, ef, encoded, exc_bitmap, &frame[0], &frame[1]);
+}
+
+unsigned AlpEncode32(const float* in, unsigned n, alp::Combination c, int32_t* encoded,
+                     uint64_t* exc_bitmap, int32_t* frame) {
+  ClearEncodeState<float>(exc_bitmap, frame);
+  const EncFactors ef = FactorsOf(c);
+  const Factors4 f(ef);
+  __m128i lo = _mm_set1_epi32(frame[0]);
+  __m128i hi = _mm_set1_epi32(frame[1]);
+  unsigned exc = 0;
+  const unsigned full = n & ~3u;
+  for (unsigned i = 0; i < full; i += 4) {
+    const EncodedFloat4 e = EncodeFloat4(_mm_loadu_ps(in + i), f);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(encoded + i), e.d);
+    FoldFrameFloat4(e.d, e.ok, &lo, &hi);
+    const unsigned fails = FailMaskFloat4(e.ok);
+    exc_bitmap[i / 64] |= static_cast<uint64_t>(fails) << (i % 64);
+    exc += kMaskCount4[fails];
+  }
+  ReduceFrameFloat4(lo, hi, frame);
+  return exc + EncodeRange(in, full, n, ef, encoded, exc_bitmap, &frame[0], &frame[1]);
+}
+
+// The abort test runs once per register, so the count may overshoot
+// abort_at by up to a register's lanes; the contract only promises
+// ">= abort_at" then.
+unsigned AlpEstimate64(const double* in, unsigned n, alp::Combination c,
+                       unsigned abort_at, int64_t* frame) {
+  frame[0] = std::numeric_limits<int64_t>::max();
+  frame[1] = std::numeric_limits<int64_t>::min();
+  const EncFactors ef = FactorsOf(c);
+  const Factors4 f(ef);
+  __m256i lo = _mm256_set1_epi64x(frame[0]);
+  __m256i hi = _mm256_set1_epi64x(frame[1]);
+  unsigned exc = 0;
+  const unsigned full = n & ~3u;
+  for (unsigned i = 0; i < full; i += 4) {
+    const __m256d x = _mm256_loadu_pd(in + i);
+    const Encoded4 e = Encode4(x, f);
+    const __m256i ok = RoundTrips4(x, e, f);
+    exc += kMaskCount4[FailMask4(ok)];
+    if (exc >= abort_at) return exc;
+    FoldFrame4(e.d, ok, &lo, &hi);
+  }
+  ReduceFrame4(lo, hi, frame);
+  return EstimateRange(in, full, n, ef, exc, abort_at, &frame[0], &frame[1]);
+}
+
+unsigned AlpEstimate32(const float* in, unsigned n, alp::Combination c,
+                       unsigned abort_at, int32_t* frame) {
+  frame[0] = std::numeric_limits<int32_t>::max();
+  frame[1] = std::numeric_limits<int32_t>::min();
+  const EncFactors ef = FactorsOf(c);
+  const Factors4 f(ef);
+  __m128i lo = _mm_set1_epi32(frame[0]);
+  __m128i hi = _mm_set1_epi32(frame[1]);
+  unsigned exc = 0;
+  const unsigned full = n & ~3u;
+  for (unsigned i = 0; i < full; i += 4) {
+    const EncodedFloat4 e = EncodeFloat4(_mm_loadu_ps(in + i), f);
+    exc += kMaskCount4[FailMaskFloat4(e.ok)];
+    if (exc >= abort_at) return exc;
+    FoldFrameFloat4(e.d, e.ok, &lo, &hi);
+  }
+  ReduceFrameFloat4(lo, hi, frame);
+  return EstimateRange(in, full, n, ef, exc, abort_at, &frame[0], &frame[1]);
+}
+
+// ALP_rd split: the left part is compared with all eight dictionary slots,
+// from the last slot to the first so the first match wins. Unused slots
+// hold 0x10000, which no 16-bit left part equals.
+unsigned RdEncode64(const double* in, unsigned n, unsigned right_bits,
+                    const uint16_t* dict, unsigned dict_size, uint16_t* codes,
+                    uint64_t* right, uint64_t* exc_bitmap) {
+  for (unsigned w = 0; w < alp::kVectorSize / 64; ++w) exc_bitmap[w] = 0;
+  __m256i probe[alp::kRdMaxDictSize];
+  for (unsigned d = 0; d < alp::kRdMaxDictSize; ++d) {
+    probe[d] = _mm256_set1_epi64x(d < dict_size ? dict[d] : 0x10000);
+  }
+  // vpsrlq by a count >= 64 yields 0: the empty left part of the portable loop.
+  const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(right_bits));
+  const __m256i right_mask =
+      _mm256_set1_epi64x(static_cast<long long>(RdRightMask<double>(right_bits)));
+  const __m256i left_mask = _mm256_set1_epi64x(0xFFFF);
+  const __m256i even_lanes = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  unsigned exc = 0;
+  const unsigned full = n & ~3u;
+  for (unsigned i = 0; i < full; i += 4) {
+    const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
+    const __m256i left = _mm256_and_si256(_mm256_srl_epi64(x, shift), left_mask);
+    __m256i code = _mm256_setzero_si256();
+    __m256i found = _mm256_setzero_si256();
+    for (unsigned d = alp::kRdMaxDictSize; d-- > 0;) {
+      const __m256i hit = _mm256_cmpeq_epi64(left, probe[d]);
+      code = _mm256_blendv_epi8(code, _mm256_set1_epi64x(d), hit);
+      found = _mm256_or_si256(found, hit);
+    }
+    // Codes < 8: the low halves of the 64-bit lanes, packed to 16 bits.
+    const __m128i code32 =
+        _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(code, even_lanes));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(codes + i), _mm_packus_epi32(code32, code32));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(right + i), _mm256_and_si256(x, right_mask));
+    const unsigned miss = FailMask4(found);
+    exc_bitmap[i / 64] |= static_cast<uint64_t>(miss) << (i % 64);
+    exc += kMaskCount4[miss];
+  }
+  return exc + RdEncodeRange(in, full, n, right_bits, dict, dict_size, codes, right,
+                             exc_bitmap);
+}
+
+unsigned RdEncode32(const float* in, unsigned n, unsigned right_bits,
+                    const uint16_t* dict, unsigned dict_size, uint16_t* codes,
+                    uint32_t* right, uint64_t* exc_bitmap) {
+  for (unsigned w = 0; w < alp::kVectorSize / 64; ++w) exc_bitmap[w] = 0;
+  __m256i probe[alp::kRdMaxDictSize];
+  for (unsigned d = 0; d < alp::kRdMaxDictSize; ++d) {
+    probe[d] = _mm256_set1_epi32(d < dict_size ? dict[d] : 0x10000);
+  }
+  const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(right_bits));
+  const __m256i right_mask =
+      _mm256_set1_epi32(static_cast<int>(RdRightMask<float>(right_bits)));
+  const __m256i left_mask = _mm256_set1_epi32(0xFFFF);
+  unsigned exc = 0;
+  const unsigned full = n & ~7u;
+  for (unsigned i = 0; i < full; i += 8) {
+    const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
+    const __m256i left = _mm256_and_si256(_mm256_srl_epi32(x, shift), left_mask);
+    __m256i code = _mm256_setzero_si256();
+    __m256i found = _mm256_setzero_si256();
+    for (unsigned d = alp::kRdMaxDictSize; d-- > 0;) {
+      const __m256i hit = _mm256_cmpeq_epi32(left, probe[d]);
+      code = _mm256_blendv_epi8(code, _mm256_set1_epi32(static_cast<int>(d)), hit);
+      found = _mm256_or_si256(found, hit);
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(codes + i),
+                     _mm_packus_epi32(_mm256_castsi256_si128(code),
+                                      _mm256_extracti128_si256(code, 1)));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(right + i), _mm256_and_si256(x, right_mask));
+    const unsigned miss =
+        ~static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(found))) & 0xFF;
+    exc_bitmap[i / 64] |= static_cast<uint64_t>(miss) << (i % 64);
+    exc += kMaskCount4[miss & 0xF] + kMaskCount4[miss >> 4];
+  }
+  return exc + RdEncodeRange(in, full, n, right_bits, dict, dict_size, codes, right,
+                             exc_bitmap);
+}
+
+// Zone map: vminpd(x, acc) is exactly `x < acc ? x : acc` per lane (a NaN
+// x or an equal zero keeps acc), so each of the four accumulators follows
+// the sequential rule over its own lanes. Only the sign of a zero result
+// can depend on which lane saw it first; FixZeroSigns settles that.
+template <typename T>
+void MinMaxImpl(const T* in, unsigned n, double* min_max) {
+  const auto load4 = [in](unsigned i) {
+    if constexpr (sizeof(T) == 8) {
+      return _mm256_loadu_pd(in + i);
+    } else {
+      return _mm256_cvtps_pd(_mm_loadu_ps(in + i));
+    }
+  };
+  __m256d lo[4];
+  __m256d hi[4];
+  for (unsigned k = 0; k < 4; ++k) {
+    lo[k] = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+    hi[k] = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
+  }
+  unsigned i = 0;
+  for (; i + 16 <= n; i += 16) {
+    for (unsigned k = 0; k < 4; ++k) {
+      const __m256d x = load4(i + 4 * k);
+      lo[k] = _mm256_min_pd(x, lo[k]);
+      hi[k] = _mm256_max_pd(x, hi[k]);
+    }
+  }
+  for (; i + 4 <= n; i += 4) {
+    const __m256d x = load4(i);
+    lo[0] = _mm256_min_pd(x, lo[0]);
+    hi[0] = _mm256_max_pd(x, hi[0]);
+  }
+  alignas(32) double l[4];
+  alignas(32) double h[4];
+  _mm256_store_pd(l, _mm256_min_pd(_mm256_min_pd(lo[0], lo[1]), _mm256_min_pd(lo[2], lo[3])));
+  _mm256_store_pd(h, _mm256_max_pd(_mm256_max_pd(hi[0], hi[1]), _mm256_max_pd(hi[2], hi[3])));
+  min_max[0] = std::numeric_limits<double>::infinity();
+  min_max[1] = -std::numeric_limits<double>::infinity();
+  for (unsigned k = 0; k < 4; ++k) {
+    min_max[0] = l[k] < min_max[0] ? l[k] : min_max[0];
+    min_max[1] = h[k] > min_max[1] ? h[k] : min_max[1];
+  }
+  MinMaxRange(in, i, n, &min_max[0], &min_max[1]);
+  FixZeroSigns(in, n, min_max);
+}
+
+void MinMax64(const double* in, unsigned n, double* min_max) { MinMaxImpl(in, n, min_max); }
+void MinMax32(const float* in, unsigned n, double* min_max) { MinMaxImpl(in, n, min_max); }
+
 #include "alp/kernels/kernel_body.inc"
 
 }  // namespace
 
-const DecodeKernels* GetAvx2Kernels() { return &kKernels; }
+const KernelTable* GetAvx2Kernels() { return &kKernels; }
 
 }  // namespace alp::kernels
 
@@ -251,7 +575,7 @@ const DecodeKernels* GetAvx2Kernels() { return &kKernels; }
 
 namespace alp::kernels {
 
-const DecodeKernels* GetAvx2Kernels() { return nullptr; }
+const KernelTable* GetAvx2Kernels() { return nullptr; }
 
 }  // namespace alp::kernels
 

@@ -2,7 +2,8 @@
 // AArch64, so this tier mostly guarantees the fused convert+multiply uses
 // the native scvtf int64->double conversion regardless of what the
 // compiler does with the portable loops; the integer glue/patch paths are
-// left to auto-vectorization. On non-AArch64 builds the TU degenerates to
+// left to auto-vectorization, and so are the encode-side kernels, which are
+// the portable loops of encode_portable.inc compiled for AArch64. On non-AArch64 builds the TU degenerates to
 // a nullptr getter.
 
 #include "alp/kernels/kernel_tiers.h"
@@ -14,6 +15,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "fastlanes/bitpack.h"
@@ -22,6 +24,8 @@ namespace alp::kernels {
 namespace {
 
 constexpr Tier kSelfTier = Tier::kNeon;
+
+#include "alp/kernels/encode_portable.inc"
 
 void ConvertMul64(const uint64_t* vals, uint64_t base, double f10_f,
                   double if10_e, double* out) {
@@ -123,11 +127,20 @@ unsigned CompactWord64(const double* v, uint64_t bits, double* out) {
   return k;
 }
 
+constexpr auto* AlpEncode64 = &PortableAlpEncode<double>;
+constexpr auto* AlpEncode32 = &PortableAlpEncode<float>;
+constexpr auto* AlpEstimate64 = &PortableAlpEstimate<double>;
+constexpr auto* AlpEstimate32 = &PortableAlpEstimate<float>;
+constexpr auto* RdEncode64 = &PortableRdEncode<double>;
+constexpr auto* RdEncode32 = &PortableRdEncode<float>;
+constexpr auto* MinMax64 = &PortableMinMax<double>;
+constexpr auto* MinMax32 = &PortableMinMax<float>;
+
 #include "alp/kernels/kernel_body.inc"
 
 }  // namespace
 
-const DecodeKernels* GetNeonKernels() { return &kKernels; }
+const KernelTable* GetNeonKernels() { return &kKernels; }
 
 }  // namespace alp::kernels
 
@@ -135,7 +148,7 @@ const DecodeKernels* GetNeonKernels() { return &kKernels; }
 
 namespace alp::kernels {
 
-const DecodeKernels* GetNeonKernels() { return nullptr; }
+const KernelTable* GetNeonKernels() { return nullptr; }
 
 }  // namespace alp::kernels
 

@@ -1,7 +1,8 @@
 // The scalar dispatch tier: portable C++ compiled with the build's base
 // target flags (the compiler may auto-vectorize it for the baseline ISA,
 // e.g. SSE2 on x86-64). Always available; every SIMD tier is tested
-// bit-exact against it. Unlike the .inc-based tiers this one fuses the
+// bit-exact against it. Its encode-side kernels are the portable loops of
+// encode_portable.inc. Unlike the .inc-based tiers this one fuses the
 // unpack emit with the arithmetic directly — the same single-pass shape as
 // DecodeVectorFused in alp/encoder.cc, whose output bytes it must (and
 // does) reproduce exactly.
@@ -9,6 +10,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 #include <utility>
 
@@ -17,6 +19,8 @@
 
 namespace alp::kernels {
 namespace {
+
+#include "alp/kernels/encode_portable.inc"
 
 template <typename T, typename U, unsigned W>
 void AlpFusedImpl(const U* packed, U base, double f10_f, double if10_e, T* out) {
@@ -201,14 +205,18 @@ unsigned Compact64(const double* values, unsigned n, const uint64_t* bitmap,
   return k;
 }
 
-constexpr DecodeKernels kKernels = {
+constexpr KernelTable kKernels = {
     Tier::kScalar, AlpFused64, AlpFused32, Patch64,    Patch32,
     RdFused64,     RdFused32,  RdGlue64,   RdGlue32,   CmpRange64,
     Gather64,      SelectF64,  Compact64,
+    &PortableAlpEncode<double>,   &PortableAlpEncode<float>,
+    &PortableAlpEstimate<double>, &PortableAlpEstimate<float>,
+    &PortableRdEncode<double>,    &PortableRdEncode<float>,
+    &PortableMinMax<double>,      &PortableMinMax<float>,
 };
 
 }  // namespace
 
-const DecodeKernels* GetScalarKernels() { return &kKernels; }
+const KernelTable* GetScalarKernels() { return &kKernels; }
 
 }  // namespace alp::kernels

@@ -16,10 +16,10 @@
 
 namespace alp::kernels {
 
-const DecodeKernels* GetScalarKernels();
-const DecodeKernels* GetAvx2Kernels();
-const DecodeKernels* GetAvx512Kernels();
-const DecodeKernels* GetNeonKernels();
+const KernelTable* GetScalarKernels();
+const KernelTable* GetAvx2Kernels();
+const KernelTable* GetAvx512Kernels();
+const KernelTable* GetNeonKernels();
 
 }  // namespace alp::kernels
 

@@ -85,7 +85,7 @@ unsigned MaterializeSurvivors(const ColumnReader<double>& reader, size_t v,
                               const uint64_t* bitmap, unsigned selected,
                               bool lanes_unpacked, EvalScratch* scratch,
                               double* out) {
-  const kernels::DecodeKernels& k = kernels::Active();
+  const kernels::KernelTable& k = kernels::Active();
   if (selected * DenseGatherDivisor(k.tier) >= view.n) {
     reader.DecodeVector(v, out);
     return selected == view.n ? selected : k.compact64(out, view.n, bitmap, out);

@@ -1,6 +1,7 @@
 #include "alp/rd.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
 #include <vector>
 
@@ -116,29 +117,23 @@ void RdEncodeVector(const T* in, unsigned n, const RdParams<T>& params,
                     RdEncodedVector<T>* out) {
   using Uint = typename AlpTraits<T>::Uint;
   const unsigned p = params.right_bits;
-  const Uint right_mask = static_cast<Uint>(
-      p >= AlpTraits<T>::kValueBits ? ~Uint{0} : ((Uint{1} << p) - 1));
 
-  unsigned exc_count = 0;
-  for (unsigned i = 0; i < n; ++i) {
-    const Uint bits = BitsOf(in[i]);
-    const uint16_t left = static_cast<uint16_t>(bits >> p);
-    out->right_parts[i] = bits & right_mask;
-
-    // Small linear dictionary probe: at most 8 comparisons, no hashing.
-    uint16_t code = params.dict_size;  // Sentinel: not found.
-    for (unsigned d = 0; d < params.dict_size; ++d) {
-      code = (params.dict[d] == left && code == params.dict_size)
-                 ? static_cast<uint16_t>(d)
-                 : code;
+  // One dispatched pass: right parts, dictionary codes and the bitmap of
+  // left parts the dictionary misses; the misses are then collected in
+  // position order.
+  uint64_t exc_bitmap[kVectorSize / 64];
+  const unsigned exc_count =
+      kernels::RdEncode(in, n, p, params.dict, params.dict_size, out->left_codes,
+                        out->right_parts, exc_bitmap);
+  unsigned k = 0;
+  for (unsigned w = 0; w < kVectorSize / 64; ++w) {
+    for (uint64_t bits = exc_bitmap[w]; bits != 0; bits &= bits - 1) {
+      const unsigned pos = w * 64 + static_cast<unsigned>(std::countr_zero(bits));
+      out->exceptions[k] =
+          p < AlpTraits<T>::kValueBits ? static_cast<uint16_t>(BitsOf(in[pos]) >> p) : 0;
+      out->exc_positions[k] = static_cast<uint16_t>(pos);
+      ++k;
     }
-    if (code == params.dict_size) {
-      out->exceptions[exc_count] = left;
-      out->exc_positions[exc_count] = static_cast<uint16_t>(i);
-      ++exc_count;
-      code = 0;  // Placeholder; patched at decode time.
-    }
-    out->left_codes[i] = code;
   }
   out->exc_count = static_cast<uint16_t>(exc_count);
   ALP_OBS_ONLY({

@@ -53,8 +53,7 @@ struct RdEncodedVector {
 
 /// Maximum left-part width the cut search considers (p >= 48 for doubles).
 inline constexpr unsigned kRdMaxLeftBits = 16;
-/// Maximum dictionary size (2^3) and code width.
-inline constexpr unsigned kRdMaxDictSize = 8;
+/// Maximum code width (kRdMaxDictSize = 2^3 entries, alp/constants.h).
 inline constexpr unsigned kRdMaxDictWidth = 3;
 /// Paper: pick the smallest dictionary whose sampled exception rate does
 /// not exceed 10%.

@@ -47,6 +47,19 @@ class ByteBuffer {
     std::memcpy(bytes_.data() + at, data, count * sizeof(T));
   }
 
+  /// Grows the buffer by \p count zeroed bytes and returns a pointer to
+  /// them, for writers that fill a section of known size in place. The
+  /// pointer is valid until the next call that grows the buffer.
+  uint8_t* Extend(size_t count) {
+    const size_t at = bytes_.size();
+    bytes_.resize(at + count);
+    return bytes_.data() + at;
+  }
+
+  /// Reserves capacity for \p total bytes, so appends up to that size
+  /// never reallocate.
+  void Reserve(size_t total) { bytes_.reserve(total); }
+
   /// Pads with zero bytes so the next append starts at a multiple of
   /// \p alignment.
   void AlignTo(size_t alignment) {
@@ -63,14 +76,7 @@ class ByteBuffer {
     return at;
   }
 
-  /// Overwrites a previously reserved slot.
-  template <typename T>
-  void PatchAt(size_t offset, const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    assert(offset + sizeof(T) <= bytes_.size());
-    std::memcpy(bytes_.data() + offset, &value, sizeof(T));
-  }
-
+  /// Overwrites a previously reserved slot of \p count values.
   template <typename T>
   void PatchArrayAt(size_t offset, const T* data, size_t count) {
     if (count == 0) return;  // memcpy from a null source is UB even for 0.

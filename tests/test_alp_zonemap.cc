@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "alp/column.h"
+#include "alp/kernel_dispatch.h"
 #include "util/bits.h"
 
 namespace alp {
@@ -69,6 +70,47 @@ TEST(ZoneMap, AllNanVectorMatchesNothing) {
   const auto buffer = CompressColumn(data.data(), data.size());
   ColumnReader<double> reader(buffer.data(), buffer.size());
   EXPECT_FALSE(reader.VectorMayContain(0, -1e308, 1e308));
+}
+
+// +0.0 and -0.0 compare equal, so the zone map's sequential rule keeps the
+// first zero it meets. A lane-parallel min/max must report that same sign
+// wherever the zeros fall: at every lane offset modulo 8, in both orders,
+// in a later register at a mirrored lane, and in a partial vector's tail.
+TEST(ZoneMap, SignedZeroTiesKeepFirstOccurrence) {
+  constexpr size_t kTail = 13;  // Vector 1: one 8-lane register + 5 values.
+  for (unsigned t = 0; t < kernels::kTierCount; ++t) {
+    const auto tier = static_cast<kernels::Tier>(t);
+    if (!kernels::ForceTier(tier)) continue;
+    SCOPED_TRACE(kernels::TierName(tier));
+    for (const double fill : {1.5, -1.5}) {
+      for (unsigned lane = 0; lane < 8; ++lane) {
+        for (const double first : {-0.0, 0.0}) {
+          const double second = -first;
+          std::vector<double> values(kVectorSize + kTail, fill);
+          values[8 * 3 + lane] = first;
+          values[8 * 4 + (7 - lane)] = second;
+          values[kVectorSize - 1] = second;
+          const size_t tail_first = kVectorSize + 8 + lane % 5;
+          values[tail_first] = first;
+          if (tail_first + 1 < values.size()) values.back() = second;
+
+          const auto buffer = CompressColumn(values.data(), values.size());
+          auto reader = ColumnReader<double>::Open(buffer.data(), buffer.size());
+          ASSERT_TRUE(reader.ok());
+          for (size_t v = 0; v < 2; ++v) {
+            SCOPED_TRACE(testing::Message() << "fill=" << fill << " lane=" << lane
+                                            << " first=" << first << " vector=" << v);
+            const VectorStats& stats = reader->Stats(v);
+            const double zero_side = fill > 0 ? stats.min : stats.max;
+            const double fill_side = fill > 0 ? stats.max : stats.min;
+            EXPECT_EQ(BitsOf(zero_side), BitsOf(first));
+            EXPECT_EQ(BitsOf(fill_side), BitsOf(fill));
+          }
+        }
+      }
+    }
+  }
+  kernels::ResetForTesting();
 }
 
 TEST(ZoneMap, SkippingIsSound) {

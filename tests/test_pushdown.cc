@@ -32,7 +32,7 @@ using engine::QueryResult;
 using engine::RunFilterSum;
 using engine::StoredColumn;
 using engine::ThreadPool;
-using kernels::DecodeKernels;
+using kernels::KernelTable;
 using kernels::Tier;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -45,10 +45,10 @@ struct TierGuard {
   ~TierGuard() { kernels::ResetForTesting(); }
 };
 
-std::vector<const DecodeKernels*> AvailableTiers() {
-  std::vector<const DecodeKernels*> tiers;
+std::vector<const KernelTable*> AvailableTiers() {
+  std::vector<const KernelTable*> tiers;
   for (unsigned t = 0; t < kernels::kTierCount; ++t) {
-    if (const DecodeKernels* k = kernels::TierKernels(static_cast<Tier>(t))) {
+    if (const KernelTable* k = kernels::TierKernels(static_cast<Tier>(t))) {
       tiers.push_back(k);
     }
   }
@@ -344,7 +344,7 @@ TEST(PushdownParity, ClusteredDataEveryTier) {
   const auto data = Clustered(kRowgroupSize * 2 + 777);
   const auto column = StoredColumn::MakeAlp(data.data(), data.size());
   TierGuard guard;
-  for (const DecodeKernels* k : AvailableTiers()) {
+  for (const KernelTable* k : AvailableTiers()) {
     SCOPED_TRACE(kernels::TierName(k->tier));
     ASSERT_TRUE(kernels::ForceTier(k->tier));
     QueryResult r;
@@ -362,7 +362,7 @@ TEST(PushdownParity, SpecialsBecomeExceptionsEveryTier) {
   const auto data = WithSpecials(kRowgroupSize + 321);
   const auto column = StoredColumn::MakeAlp(data.data(), data.size());
   TierGuard guard;
-  for (const DecodeKernels* k : AvailableTiers()) {
+  for (const KernelTable* k : AvailableTiers()) {
     SCOPED_TRACE(kernels::TierName(k->tier));
     ASSERT_TRUE(kernels::ForceTier(k->tier));
     ExpectModeParity(column, Predicate::Between(480.0, 520.0));
@@ -385,7 +385,7 @@ TEST(PushdownParity, HighPrecisionFallbackEveryTier) {
   const auto data = HighPrecision(kRowgroupSize + 11);
   const auto column = StoredColumn::MakeAlp(data.data(), data.size());
   TierGuard guard;
-  for (const DecodeKernels* k : AvailableTiers()) {
+  for (const KernelTable* k : AvailableTiers()) {
     SCOPED_TRACE(kernels::TierName(k->tier));
     ASSERT_TRUE(kernels::ForceTier(k->tier));
     ExpectModeParity(column, Predicate::Between(-0.5, 0.5));
@@ -459,7 +459,7 @@ TEST(PushdownParity, DotSumSelectionVectorsEveryTier) {
 
   TierGuard guard;
   ThreadPool pool(4);
-  for (const DecodeKernels* k : AvailableTiers()) {
+  for (const KernelTable* k : AvailableTiers()) {
     SCOPED_TRACE(kernels::TierName(k->tier));
     ASSERT_TRUE(kernels::ForceTier(k->tier));
     for (const Predicate& pred :
@@ -486,7 +486,7 @@ TEST(PushdownParity, MatchesSurvivorSumDefinitionEveryTier) {
   for (const auto& data : corpora) {
     const auto column = StoredColumn::MakeAlp(data.data(), data.size());
     const auto raw = StoredColumn::MakeUncompressed(data);
-    for (const DecodeKernels* k : AvailableTiers()) {
+    for (const KernelTable* k : AvailableTiers()) {
       SCOPED_TRACE(kernels::TierName(k->tier));
       ASSERT_TRUE(kernels::ForceTier(k->tier));
       for (const Predicate& pred :
@@ -515,7 +515,7 @@ TEST(PushdownGather, DenseGatherBitwiseEqualsGatherKernelEveryTier) {
   std::mt19937_64 rng(67);
   TierGuard guard;
   size_t packed_vectors = 0;
-  for (const DecodeKernels* k : AvailableTiers()) {
+  for (const KernelTable* k : AvailableTiers()) {
     SCOPED_TRACE(kernels::TierName(k->tier));
     ASSERT_TRUE(kernels::ForceTier(k->tier));
     for (size_t v = 0; v < reader.vector_count(); ++v) {
@@ -580,7 +580,7 @@ TEST(PushdownParity, RandomizedPredicatesEveryTier) {
   const auto column = StoredColumn::MakeAlp(data.data(), data.size());
   std::mt19937_64 rng(61);
   TierGuard guard;
-  for (const DecodeKernels* k : AvailableTiers()) {
+  for (const KernelTable* k : AvailableTiers()) {
     SCOPED_TRACE(kernels::TierName(k->tier));
     ASSERT_TRUE(kernels::ForceTier(k->tier));
     for (int iter = 0; iter < 25; ++iter) {

@@ -1052,9 +1052,10 @@ uint64_t WriteLargeColumn(const std::string& path, uint64_t values) {
     // Unique data per rowgroup, reproducible by the scanner via the seed.
     const std::vector<double> raw = HighPrecisionData(begin, len);
     data_checksum.Update(raw.data(), len * sizeof(double));
-    std::vector<uint8_t> segment =
+    const std::vector<uint8_t> segment =
         internal::CompressRowgroupSegment<double>(raw.data(), len, {}, &stats,
-                                                  nullptr);
+                                                  nullptr)
+            .bytes;
     const size_t padding = (8 - segment.size() % 8) % 8;
     EXPECT_EQ(std::fwrite(segment.data(), 1, segment.size(), payload),
               segment.size());

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <vector>
 
 #include "util/bit_stream.h"
 #include "util/bits.h"
@@ -194,6 +195,18 @@ TEST(ByteBuffer, ReserveAndPatch) {
   EXPECT_EQ(reader.Read<uint64_t>(), 111u);
   EXPECT_EQ(reader.Read<uint64_t>(), 222u);
   EXPECT_EQ(reader.Read<uint8_t>(), 0xEE);
+}
+
+TEST(ByteBuffer, ExtendGrowsByZeroedBytesInPlace) {
+  ByteBuffer buffer;
+  buffer.Reserve(64);
+  buffer.Append<uint8_t>(7);
+  uint8_t* tail = buffer.Extend(5);
+  EXPECT_EQ(buffer.size(), 6u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(tail[i], 0);
+  tail[4] = 9;
+  const auto bytes = buffer.Take();
+  EXPECT_EQ(bytes, (std::vector<uint8_t>{7, 0, 0, 0, 0, 9}));
 }
 
 TEST(ByteReader, SeekAndAlign) {

@@ -51,9 +51,9 @@
 // concurrency. The compressed output is byte-identical at every thread
 // count — see README "Threading & determinism".
 //
-// --kernel=scalar|avx2|avx512|neon|auto forces the decode kernel tier for
-// the run (see src/alp/kernel_dispatch.h). Decoded bytes are identical on
-// every tier; only speed differs. Requesting a tier this host or build
+// --kernel=scalar|avx2|avx512|neon|auto forces the encode and decode kernel
+// tier for the run (see src/alp/kernel_dispatch.h). Compressed and decoded
+// bytes are identical on every tier; only speed differs. Requesting a tier this host or build
 // cannot run is a hard error (the ALP_FORCE_KERNEL environment variable
 // offers the same control with warn-and-fall-back semantics instead).
 //
@@ -130,11 +130,11 @@ int Usage() {
                "\n"
                "--threads=N (or ALP_THREADS) sizes the rowgroup worker pool;\n"
                "output bytes are identical at every thread count.\n"
-               "--kernel=scalar|avx2|avx512|neon|auto forces the decode\n"
-               "kernel tier (default: best tier the CPU supports; decoded\n"
-               "bytes are identical on every tier). Unavailable tiers are a\n"
-               "hard error; the ALP_FORCE_KERNEL env var does the same with\n"
-               "warn-and-fall-back semantics.\n"
+               "--kernel=scalar|avx2|avx512|neon|auto forces the kernel\n"
+               "tier (default: best tier the CPU supports; compressed and\n"
+               "decoded bytes are identical on every tier). Unavailable\n"
+               "tiers are a hard error; the ALP_FORCE_KERNEL env var does\n"
+               "the same with warn-and-fall-back semantics.\n"
                "--metrics=json|text prints the telemetry registry snapshot\n"
                "after the command (see docs/OBSERVABILITY.md).\n"
                "--trace=<path> writes a Chrome/Perfetto trace_event JSON\n"

@@ -160,7 +160,7 @@ def main(argv):
         threshold = thresholds[kind]
         status = "ok"
         if base_tier != cur_tier and None not in (base_tier, cur_tier):
-            # Different decode kernel tiers: informational, never a gate.
+            # Different kernel tiers: informational, never a gate.
             status = f"tier-mismatch ({base_tier}→{cur_tier})"
             tier_mismatches += 1
         elif worse and threshold is not None and abs(delta_pct) > threshold:
