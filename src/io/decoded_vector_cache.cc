@@ -31,7 +31,7 @@ obs::Counter& InsertCounter() {
 size_t DecodedVectorCache::KeyHash::operator()(const Key& key) const {
   // splitmix64-style mix of the two halves; shard selection reuses this
   // hash's high bits while the map uses the low ones.
-  uint64_t x = key.column_id * 0x9E3779B97F4A7C15ull ^ key.vector;
+  uint64_t x = key.column_id * 0x9E3779B97F4A7C15ull ^ key.rowgroup;
   x ^= x >> 30;
   x *= 0xBF58476D1CE4E5B9ull;
   x ^= x >> 27;
@@ -56,8 +56,8 @@ DecodedVectorCache::Shard& DecodedVectorCache::ShardFor(const Key& key) {
 }
 
 DecodedVectorCache::Value DecodedVectorCache::Lookup(uint64_t column_id,
-                                                     uint64_t vector) {
-  const Key key{column_id, vector};
+                                                     uint64_t rowgroup) {
+  const Key key{column_id, rowgroup};
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
@@ -72,11 +72,11 @@ DecodedVectorCache::Value DecodedVectorCache::Lookup(uint64_t column_id,
   return it->second->value;
 }
 
-void DecodedVectorCache::Insert(uint64_t column_id, uint64_t vector,
+void DecodedVectorCache::Insert(uint64_t column_id, uint64_t rowgroup,
                                 Value value) {
-  const Key key{column_id, vector};
+  const Key key{column_id, rowgroup};
   Shard& shard = ShardFor(key);
-  const size_t entry_bytes = value == nullptr ? 0 : value->size();
+  const size_t entry_bytes = value == nullptr ? 0 : value->bytes;
   std::lock_guard<std::mutex> lock(shard.mu);
   if (value == nullptr || entry_bytes == 0 || entry_bytes > shard_capacity_) {
     ++shard.stats.rejected;
@@ -84,8 +84,8 @@ void DecodedVectorCache::Insert(uint64_t column_id, uint64_t vector,
   }
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    // Concurrent readers can decode the same vector and race to insert;
-    // first write wins and later ones only refresh recency, so a handed-out
+    // Concurrent readers can load the same chunk and race to insert; first
+    // write wins and later ones only refresh recency, so a handed-out
     // shared_ptr never silently diverges from the resident entry.
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
@@ -96,14 +96,14 @@ void DecodedVectorCache::Insert(uint64_t column_id, uint64_t vector,
       ++shard.stats.rejected;
       return;
     }
-    Entry& victim = shard.lru.back();
-    shard.bytes -= victim.value->size();
+    Slot& victim = shard.lru.back();
+    shard.bytes -= victim.value->bytes;
     shard.index.erase(victim.key);
     shard.lru.pop_back();
     ++shard.stats.evictions;
     ALP_OBS_ONLY(EvictCounter().Increment());
   }
-  shard.lru.push_front(Entry{key, std::move(value)});
+  shard.lru.push_front(Slot{key, std::move(value)});
   shard.index.emplace(key, shard.lru.begin());
   shard.bytes += entry_bytes;
   ++shard.stats.inserts;
@@ -140,7 +140,7 @@ std::vector<DecodedVectorCache::Key> DecodedVectorCache::ShardKeysMruFirst(
   const Shard& shard = *shards_[shard_index % shards_.size()];
   std::lock_guard<std::mutex> lock(shard.mu);
   keys.reserve(shard.lru.size());
-  for (const Entry& entry : shard.lru) keys.push_back(entry.key);
+  for (const Slot& slot : shard.lru) keys.push_back(slot.key);
   return keys;
 }
 
@@ -149,10 +149,10 @@ bool DecodedVectorCache::CheckInvariants() const {
     std::lock_guard<std::mutex> lock(shard->mu);
     if (shard->index.size() != shard->lru.size()) return false;
     size_t bytes = 0;
-    for (const Entry& entry : shard->lru) {
-      auto it = shard->index.find(entry.key);
-      if (it == shard->index.end() || &*it->second != &entry) return false;
-      bytes += entry.value->size();
+    for (const Slot& slot : shard->lru) {
+      auto it = shard->index.find(slot.key);
+      if (it == shard->index.end() || &*it->second != &slot) return false;
+      bytes += slot.value->bytes;
     }
     if (bytes != shard->bytes) return false;
     if (capacity_bytes_ > 0 && bytes > shard_capacity_) return false;

@@ -11,31 +11,34 @@
 #include <vector>
 
 /// \file decoded_vector_cache.h
-/// Bounded, sharded LRU cache of decoded vectors, shared by every
+/// Bounded, sharded LRU cache of verified rowgroup chunks, shared by every
 /// SeekableReader attached to it (the serving catalog hands one cache to
-/// all of its columns). The unit of caching is one decoded vector's byte
-/// image — decode is fast enough (Lemire & Boytsov's observation, see
-/// PAPERS.md) that the win of a cache is in *not touching storage bytes*,
-/// so caching post-decode output lets a hit skip the chunk fetch, the
-/// checksum pass and the decode in one lookup.
+/// all of its columns). The name is historical: the unit of caching is one
+/// rowgroup chunk in its compressed form together with its parsed chunk
+/// reader, not decoded vectors. ALP decodes at a few values per cycle, so
+/// decoding a vector again from resident compressed bytes costs less than
+/// the memory traffic of keeping it decoded (Lemire & Boytsov make the same
+/// point, see PAPERS.md), and a byte of budget holds 64 / bits-per-value
+/// times more values. A hit skips the fetch, the checksum and the
+/// structural walk, then decodes or packed-evaluates in place.
 ///
 /// Coherence rules (DESIGN.md "Out-of-core reads" spells out the why):
-///  - Entries are immutable: a value is inserted exactly once per
-///    (column, vector) generation and never mutated in place. Readers get
+///  - Entries are immutable: a chunk is inserted at most once per
+///    (column, rowgroup) generation and never mutated in place. Readers get
 ///    a shared_ptr, so an entry evicted mid-use stays alive for its
 ///    holders — eviction only drops the cache's reference.
-///  - Only successfully decoded vectors are inserted. A chunk that fails
-///    its checksum or structural validation never contributes entries, so
-///    corruption cannot poison the cache (tests/test_seekable.cc proves
-///    this by corrupting, observing the error, healing the bytes and
+///  - Only chunks that passed the checksum and the structural open are
+///    inserted, so corruption cannot poison the cache (tests/test_seekable.cc
+///    proves this by corrupting, observing the error, healing the bytes and
 ///    re-reading).
 ///  - Capacity 0 disables caching entirely (every Lookup is a miss, Insert
 ///    is a no-op); output must be byte-identical either way.
 ///
 /// Sharding: keys hash to one of shard_count() independent LRU shards,
 /// each with its own mutex, so concurrent readers mostly touch different
-/// locks. The byte budget is split evenly across shards; an entry larger
-/// than one shard's budget is simply not cached.
+/// locks. The byte budget (compressed bytes) is split evenly across shards;
+/// an entry larger than one shard's budget is simply not cached, which also
+/// keeps one scan over large chunks from flushing every shard.
 ///
 /// Fault injection: the eviction path consults the `io.cache_evict` site
 /// (behind ALP_FAULTS). An injected fault makes Insert decline the entry —
@@ -45,18 +48,31 @@ namespace alp::io {
 
 class DecodedVectorCache {
  public:
-  /// Identity of a cached vector: (reader generation id, vector index).
+  /// Identity of a cached chunk: (reader generation id, rowgroup index).
   /// Reader ids come from a process-global counter, so two readers over
-  /// the same file never alias and a re-opened column starts cold.
+  /// the same file never alias and a re-opened column starts cold; the
+  /// entries of a reader that is gone are unreachable and age out.
   struct Key {
     uint64_t column_id = 0;
-    uint64_t vector = 0;
+    uint64_t rowgroup = 0;
     bool operator==(const Key& o) const {
-      return column_id == o.column_id && vector == o.vector;
+      return column_id == o.column_id && rowgroup == o.rowgroup;
     }
   };
 
-  using Value = std::shared_ptr<const std::vector<uint8_t>>;
+  /// One cached chunk as the cache sees it: a byte charge. SeekableReader
+  /// derives from it to carry the verified bytes and the parsed chunk
+  /// reader; only the reader that inserted an entry (its column_id) ever
+  /// looks it up, so it alone downcasts.
+  struct Entry {
+    explicit Entry(size_t charge) : bytes(charge) {}
+    virtual ~Entry() = default;
+    Entry(const Entry&) = delete;
+    Entry& operator=(const Entry&) = delete;
+    size_t bytes;  ///< Compressed chunk size, charged against the budget.
+  };
+
+  using Value = std::shared_ptr<const Entry>;
 
   /// Always-on counters (plain atomics under the shard locks, so they are
   /// exact and available even when ALP_OBS is compiled out — the CLI's
@@ -68,11 +84,11 @@ class DecodedVectorCache {
     uint64_t evictions = 0;   ///< Entries dropped to make room.
     uint64_t rejected = 0;    ///< Inserts declined (capacity 0 / oversized
                               ///< entry / injected io.cache_evict fault).
-    uint64_t bytes = 0;       ///< Resident payload bytes right now.
+    uint64_t bytes = 0;       ///< Resident compressed bytes right now.
     uint64_t entries = 0;     ///< Resident entries right now.
   };
 
-  /// A cache holding at most \p capacity_bytes of decoded payload across
+  /// A cache holding at most \p capacity_bytes of chunk bytes across
   /// \p shards independent LRU shards (clamped to >= 1; tests use 1 shard
   /// to make global eviction order observable).
   explicit DecodedVectorCache(size_t capacity_bytes, unsigned shards = 8);
@@ -80,15 +96,15 @@ class DecodedVectorCache {
   DecodedVectorCache(const DecodedVectorCache&) = delete;
   DecodedVectorCache& operator=(const DecodedVectorCache&) = delete;
 
-  /// Returns the cached value and marks it most-recently-used, or nullptr
+  /// Returns the cached chunk and marks it most-recently-used, or nullptr
   /// on a miss (also when capacity is 0).
-  Value Lookup(uint64_t column_id, uint64_t vector);
+  Value Lookup(uint64_t column_id, uint64_t rowgroup);
 
-  /// Inserts \p value (no-op when capacity is 0, the value exceeds one
-  /// shard's budget, or an io.cache_evict fault fires while making room).
-  /// Re-inserting a resident key refreshes its recency, keeps the first
-  /// value, and counts as neither insert nor eviction.
-  void Insert(uint64_t column_id, uint64_t vector, Value value);
+  /// Inserts \p value (no-op when capacity is 0, the value is null, empty
+  /// or larger than one shard's budget, or an io.cache_evict fault fires
+  /// while making room). Re-inserting a resident key refreshes its recency,
+  /// keeps the first value, and counts as neither insert nor eviction.
+  void Insert(uint64_t column_id, uint64_t rowgroup, Value value);
 
   /// Drops every entry (counters other than bytes/entries are preserved).
   void Clear();
@@ -110,7 +126,7 @@ class DecodedVectorCache {
   bool CheckInvariants() const;
 
  private:
-  struct Entry {
+  struct Slot {
     Key key;
     Value value;
   };
@@ -121,8 +137,8 @@ class DecodedVectorCache {
 
   struct Shard {
     mutable std::mutex mu;
-    std::list<Entry> lru;  ///< Front = most recently used.
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index;
+    std::list<Slot> lru;  ///< Front = most recently used.
+    std::unordered_map<Key, std::list<Slot>::iterator, KeyHash> index;
     size_t bytes = 0;
     Stats stats;
   };

@@ -23,23 +23,33 @@ Status ErrnoStatus(const std::string& what, const std::string& path) {
   return Status::Io(what + " " + path + ": " + std::strerror(errno));
 }
 
+bool InRange(uint64_t offset, size_t len, uint64_t size) {
+  return offset <= size && len <= size - offset;
+}
+
 }  // namespace
 
 Status MemorySource::ReadAt(uint64_t offset, size_t len, uint8_t* out) const {
-  if (offset > size_ || len > size_ - offset) {
-    return OutOfRange(offset, len, size_);
-  }
+  if (!InRange(offset, len, size_)) return OutOfRange(offset, len, size_);
   std::memcpy(out, data_ + offset, len);
   return Status::Ok();
 }
 
+const uint8_t* MemorySource::View(uint64_t offset, size_t len) const {
+  return InRange(offset, len, size_) ? data_ + offset : nullptr;
+}
+
 Status OwnedMemorySource::ReadAt(uint64_t offset, size_t len,
                                  uint8_t* out) const {
-  if (offset > bytes_.size() || len > bytes_.size() - offset) {
+  if (!InRange(offset, len, bytes_.size())) {
     return OutOfRange(offset, len, bytes_.size());
   }
   std::memcpy(out, bytes_.data() + offset, len);
   return Status::Ok();
+}
+
+const uint8_t* OwnedMemorySource::View(uint64_t offset, size_t len) const {
+  return InRange(offset, len, bytes_.size()) ? bytes_.data() + offset : nullptr;
 }
 
 StatusOr<std::shared_ptr<MmapSource>> MmapSource::Open(
@@ -75,9 +85,7 @@ MmapSource::~MmapSource() {
 }
 
 Status MmapSource::ReadAt(uint64_t offset, size_t len, uint8_t* out) const {
-  if (offset > size_ || len > size_ - offset) {
-    return OutOfRange(offset, len, size_);
-  }
+  if (!InRange(offset, len, size_)) return OutOfRange(offset, len, size_);
   std::memcpy(out, data_ + offset, len);
   return Status::Ok();
 }
@@ -101,9 +109,7 @@ PreadSource::~PreadSource() {
 }
 
 Status PreadSource::ReadAt(uint64_t offset, size_t len, uint8_t* out) const {
-  if (offset > size_ || len > size_ - offset) {
-    return OutOfRange(offset, len, size_);
-  }
+  if (!InRange(offset, len, size_)) return OutOfRange(offset, len, size_);
   size_t done = 0;
   while (done < len) {
     const ssize_t got = ::pread(fd_, out + done, len - done,

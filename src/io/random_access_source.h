@@ -16,7 +16,8 @@
 /// implementations cover the deployment spectrum:
 ///
 ///  - MemorySource   — wraps an in-memory buffer (the serving catalog and
-///                     tests; ReadAt is a memcpy).
+///                     tests). Lends zero-copy Views, so a chunk is
+///                     verified and decoded in place.
 ///  - MmapSource     — read-only mmap of a file. Fastest when the file fits
 ///                     comfortably in the page cache, but the mapping charges
 ///                     the whole file against the process's virtual address
@@ -31,6 +32,13 @@
 /// reads beyond size() are Status::Truncated (the caller computed an extent
 /// the store cannot satisfy — with a verified offset index that means the
 /// file shrank after open).
+///
+/// Zero-copy views: a source whose bytes are resident and cannot change
+/// under the reader (the two memory sources) lends them through View, and
+/// SeekableReader then verifies and decodes a chunk in place instead of
+/// copying it. File sources lend nothing and are always copied: the file
+/// behind a mapping can be rewritten after its chunk was verified, and a
+/// verified copy cannot.
 
 namespace alp::io {
 
@@ -47,9 +55,21 @@ class RandomAccessSource {
 
   /// Diagnostic name ("mmap:/path", "pread:/path", "memory").
   virtual const std::string& name() const = 0;
+
+  /// The \p len bytes at \p offset in place, valid and unchanged for as
+  /// long as the source lives; nullptr when the source lends no views or
+  /// the range is out of bounds (ReadAt then reports why).
+  virtual const uint8_t* View(uint64_t offset, size_t len) const {
+    (void)offset;
+    (void)len;
+    return nullptr;
+  }
 };
 
-/// Source over caller-owned memory; the buffer must outlive the source.
+/// Source over caller-owned memory. The buffer must outlive the source and
+/// must not change while it lives: views of it are verified once and then
+/// decoded as often as the cache keeps them (decode stays bounds-checked,
+/// so a change can garble values but never read out of bounds).
 class MemorySource final : public RandomAccessSource {
  public:
   MemorySource(const uint8_t* data, size_t size)
@@ -58,6 +78,7 @@ class MemorySource final : public RandomAccessSource {
   Status ReadAt(uint64_t offset, size_t len, uint8_t* out) const override;
   uint64_t size() const override { return size_; }
   const std::string& name() const override { return name_; }
+  const uint8_t* View(uint64_t offset, size_t len) const override;
 
  private:
   const uint8_t* data_;
@@ -74,6 +95,7 @@ class OwnedMemorySource final : public RandomAccessSource {
   Status ReadAt(uint64_t offset, size_t len, uint8_t* out) const override;
   uint64_t size() const override { return bytes_.size(); }
   const std::string& name() const override { return name_; }
+  const uint8_t* View(uint64_t offset, size_t len) const override;
 
  private:
   std::vector<uint8_t> bytes_;

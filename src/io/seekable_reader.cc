@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "alp/constants.h"
@@ -59,6 +57,12 @@ obs::Gauge& PrefetchDepthGauge() {
       obs::MetricRegistry::Global().GetGauge("io.prefetch.depth");
   return g;
 }
+
+/// The flight recorder of the request \p ctx belongs to, if any.
+obs::FlightRecorder* RecorderOf(const OpContext* ctx) {
+  return ctx != nullptr && ctx->request != nullptr ? ctx->request->recorder
+                                                   : nullptr;
+}
 #endif
 
 }  // namespace
@@ -74,6 +78,23 @@ struct SeekableReader<T>::PrefetchSlot {
   bool done = false;
   Status status;
   std::vector<uint8_t> bytes;
+};
+
+/// A verified, opened rowgroup chunk: what the cache holds and what every
+/// read decodes or packed-evaluates from. `reader` points into `owned` (a
+/// copy) or into a View of `pinned`, which this entry keeps alive.
+template <typename T>
+struct SeekableReader<T>::Chunk final : DecodedVectorCache::Entry {
+  Chunk(std::vector<uint8_t> copy, std::shared_ptr<const RandomAccessSource> pin,
+        ColumnReader<T> chunk_reader, size_t charge)
+      : Entry(charge),
+        owned(std::move(copy)),
+        pinned(std::move(pin)),
+        reader(std::move(chunk_reader)) {}
+
+  std::vector<uint8_t> owned;
+  std::shared_ptr<const RandomAccessSource> pinned;
+  ColumnReader<T> reader;
 };
 
 template <typename T>
@@ -147,40 +168,6 @@ void SeekableReader<T>::ChunkExtent(size_t rg, uint64_t* begin,
 }
 
 template <typename T>
-Status SeekableReader<T>::LoadChunk(
-    size_t rg, const std::shared_ptr<PrefetchSlot>& prefetched,
-    std::vector<uint8_t>* bytes) const {
-  // The fault site fires on the consume path whether the prefetcher or the
-  // caller fetched the bytes, so injected chunk-read failures are
-  // deterministic per touched rowgroup regardless of prefetch timing.
-  ALP_FAULT("io.chunk_read");
-  uint64_t begin, end;
-  ChunkExtent(rg, &begin, &end);
-  if (prefetched != nullptr) {
-    std::unique_lock<std::mutex> lock(prefetched->mu);
-    prefetched->cv.wait(lock, [&] { return prefetched->done; });
-    if (!prefetched->status.ok()) return prefetched->status;
-    *bytes = std::move(prefetched->bytes);
-  } else {
-    ALP_OBS_SPAN(fetch_span, "io.chunk_fetch", end - begin);
-    bytes->resize(end - begin);
-    Status s = source_->ReadAt(begin, bytes->size(), bytes->data());
-    if (!s.ok()) return s;
-    ALP_OBS_ONLY({
-      ChunkReadCounter().Increment();
-      ChunkBytesCounter().Add(end - begin);
-    });
-  }
-  // Verify before anything downstream touches the bytes (v3; a v2 file has
-  // no per-rowgroup checksums and relies on the structural walk alone).
-  if (!index_.rowgroup_checksums.empty() &&
-      Checksum64(bytes->data(), bytes->size()) != index_.rowgroup_checksums[rg]) {
-    return Status::ChecksumMismatch("rowgroup payload checksum mismatch", begin);
-  }
-  return Status::Ok();
-}
-
-template <typename T>
 std::shared_ptr<typename SeekableReader<T>::PrefetchSlot>
 SeekableReader<T>::SchedulePrefetch(size_t rg) const {
   if (options_.prefetch_pool == nullptr || options_.prefetch_rowgroups == 0) {
@@ -194,12 +181,6 @@ SeekableReader<T>::SchedulePrefetch(size_t rg) const {
     ALP_OBS_SPAN(fetch_span, "io.chunk_fetch", end - begin);
     std::vector<uint8_t> bytes(end - begin);
     Status s = source->ReadAt(begin, bytes.size(), bytes.data());
-    ALP_OBS_ONLY({
-      if (s.ok()) {
-        ChunkReadCounter().Increment();
-        ChunkBytesCounter().Add(end - begin);
-      }
-    });
     std::lock_guard<std::mutex> lock(slot->mu);
     slot->status = std::move(s);
     if (slot->status.ok()) slot->bytes = std::move(bytes);
@@ -225,15 +206,131 @@ SeekableReader<T>::SchedulePrefetch(size_t rg) const {
 template <typename T>
 bool SeekableReader<T>::RowgroupWanted(size_t rg,
                                        const VectorFilter* want) const {
-  const uint64_t rg_values = RowgroupValueCount(rg);
-  if (rg_values == 0) return false;
+  if (RowgroupValueCount(rg) == 0) return false;
   if (want == nullptr) return true;
   const size_t first_vector = rg * kRowgroupVectors;
-  const size_t vectors = (rg_values + kVectorSize - 1) / kVectorSize;
-  for (size_t lv = 0; lv < vectors; ++lv) {
+  for (size_t lv = 0, vectors = RowgroupVectorCount(rg); lv < vectors; ++lv) {
     if ((*want)(first_vector + lv)) return true;
   }
   return false;
+}
+
+template <typename T>
+size_t SeekableReader<T>::RowgroupVectorCount(size_t rg) const {
+  return static_cast<size_t>((RowgroupValueCount(rg) + kVectorSize - 1) /
+                             kVectorSize);
+}
+
+template <typename T>
+Status SeekableReader<T>::AcquireChunk(
+    size_t rg, const std::shared_ptr<PrefetchSlot>& prefetched,
+    const OpContext* ctx, std::shared_ptr<const Chunk>* chunk) const {
+  if (ctx != nullptr) {
+    Status cs = ctx->Check();
+    if (!cs.ok()) return cs;
+  }
+  // Per-request attribution: every cache decision and chunk load is
+  // credited to the owning request's flight recorder.
+  ALP_OBS_ONLY(obs::FlightRecorder* recorder = RecorderOf(ctx));
+  DecodedVectorCache* cache = options_.cache;
+  const bool caching = cache != nullptr && cache->capacity_bytes() > 0;
+  if (caching) {
+    DecodedVectorCache::Value hit;
+    {
+      ALP_OBS_SPAN(lookup_span, "io.cache_lookup", 1);
+      hit = cache->Lookup(column_id_, rg);
+    }
+    if (hit != nullptr) {
+      ALP_OBS_ONLY({
+        if (labeled_cache_hits_ != nullptr) labeled_cache_hits_->Increment();
+        if (recorder != nullptr) recorder->Count("io.cache.hit");
+      });
+      // Keys are namespaced by column_id_, so every entry under them was
+      // inserted below as a Chunk.
+      *chunk = std::static_pointer_cast<const Chunk>(std::move(hit));
+      return Status::Ok();
+    }
+    ALP_OBS_ONLY({
+      if (labeled_cache_misses_ != nullptr) labeled_cache_misses_->Increment();
+      if (recorder != nullptr) recorder->Count("io.cache.miss");
+    });
+  }
+
+  // The fault site fires on every miss, whether the prefetcher, a view or
+  // a synchronous read supplies the bytes, so injected chunk-read failures
+  // are deterministic per touched rowgroup regardless of prefetch timing.
+  ALP_FAULT("io.chunk_read");
+  uint64_t begin, end;
+  ChunkExtent(rg, &begin, &end);
+  const size_t len = static_cast<size_t>(end - begin);
+  std::vector<uint8_t> owned;
+  std::shared_ptr<const RandomAccessSource> pinned;
+  const uint8_t* bytes = nullptr;
+  if (prefetched != nullptr) {
+    std::unique_lock<std::mutex> lock(prefetched->mu);
+    prefetched->cv.wait(lock, [&] { return prefetched->done; });
+    if (!prefetched->status.ok()) return prefetched->status;
+    owned = std::move(prefetched->bytes);
+    bytes = owned.data();
+  } else if ((bytes = source_->View(begin, len)) != nullptr) {
+    pinned = source_;
+  } else {
+    ALP_OBS_SPAN(fetch_span, "io.chunk_fetch", len);
+    owned.resize(len);
+    Status s = source_->ReadAt(begin, len, owned.data());
+    if (!s.ok()) return s;
+    bytes = owned.data();
+  }
+  ALP_OBS_ONLY({
+    ChunkReadCounter().Increment();
+    ChunkBytesCounter().Add(len);
+    if (recorder != nullptr) {
+      recorder->Count("io.chunk.reads");
+      recorder->Count("io.chunk.bytes", len);
+    }
+  });
+  // Verify before anything downstream touches the bytes (v3; a v2 file has
+  // no per-rowgroup checksums and relies on the structural walk alone).
+  if (!index_.rowgroup_checksums.empty() &&
+      Checksum64(bytes, len) != index_.rowgroup_checksums[rg]) {
+    return Status::ChecksumMismatch("rowgroup payload checksum mismatch", begin);
+  }
+  StatusOr<ColumnReader<T>> opened = [&] {
+    ALP_OBS_SPAN(open_span, "io.chunk_open", len);
+    return ColumnReader<T>::OpenRowgroupChunk(bytes, len, RowgroupValueCount(rg));
+  }();
+  if (!opened.ok()) return RebaseOffset(opened.status(), begin);
+  // Moving `owned` into the entry keeps its heap buffer, which the opened
+  // reader points into.
+  auto entry = std::make_shared<const Chunk>(std::move(owned), std::move(pinned),
+                                             std::move(*opened), len);
+  if (caching) cache->Insert(column_id_, rg, entry);
+  *chunk = std::move(entry);
+  return Status::Ok();
+}
+
+template <typename T>
+Status SeekableReader<T>::DecodeChunkVectors(const Chunk& chunk, size_t rg,
+                                             size_t lv_begin, size_t lv_end,
+                                             T* out,
+                                             const OpContext* ctx) const {
+  ALP_OBS_ONLY(obs::FlightRecorder* recorder = RecorderOf(ctx));
+  for (size_t lv = lv_begin; lv < lv_end; ++lv) {
+    Status ds = chunk.reader.TryDecodeVector(
+        lv, out + (lv - lv_begin) * kVectorSize, ctx);
+    if (!ds.ok()) {
+      return RebaseOffset(std::move(ds), index_.rowgroup_offsets[rg]);
+    }
+    ALP_OBS_ONLY({
+      if (recorder != nullptr) {
+        // ALP exceptions patched in this vector — the per-request cousin of
+        // the aggregate exceptions-per-vector histogram. The header is
+        // re-read only for recorded requests.
+        recorder->Count("decode.exceptions", chunk.reader.VectorExceptionCount(lv));
+      }
+    });
+  }
+  return Status::Ok();
 }
 
 template <typename T>
@@ -241,98 +338,20 @@ Status SeekableReader<T>::VisitRowgroupImpl(
     size_t rg, const std::shared_ptr<PrefetchSlot>& prefetched,
     const Visitor& visit, const OpContext* ctx,
     const VectorFilter* want) const {
-  const uint64_t rg_values = RowgroupValueCount(rg);
-  if (rg_values == 0) return Status::Ok();
   const size_t first_vector = rg * kRowgroupVectors;
-  const size_t vectors =
-      static_cast<size_t>((rg_values + kVectorSize - 1) / kVectorSize);
-  uint64_t chunk_base, chunk_end;
-  ChunkExtent(rg, &chunk_base, &chunk_end);
-
-  DecodedVectorCache* cache = options_.cache;
-  const bool caching = cache != nullptr && cache->capacity_bytes() > 0;
-
-  // Per-request attribution: every cache decision, chunk fetch and decode
-  // on this path is credited to the owning request's flight recorder.
-  // Compiled out with the rest of the IO instrumentation under
-  // -DALP_OBS=OFF; one null check per vector otherwise.
-#if ALP_OBS
-  obs::FlightRecorder* recorder =
-      ctx != nullptr && ctx->request != nullptr ? ctx->request->recorder
-                                                : nullptr;
-#endif
-
-  std::vector<uint8_t> chunk;
-  std::optional<ColumnReader<T>> chunk_reader;
-  std::vector<T> scratch;
-
-  for (size_t lv = 0; lv < vectors; ++lv) {
+  std::shared_ptr<const Chunk> chunk;
+  alignas(64) T values[kVectorSize];
+  for (size_t lv = 0, vectors = RowgroupVectorCount(rg); lv < vectors; ++lv) {
     const size_t v = first_vector + lv;
     if (want != nullptr && !(*want)(v)) continue;
-    if (ctx != nullptr) {
-      Status cs = ctx->Check();
-      if (!cs.ok()) return cs;
-    }
-    const unsigned len = VectorLength(v);
-    if (caching) {
-      if (DecodedVectorCache::Value hit = cache->Lookup(column_id_, v)) {
-        ALP_OBS_ONLY({
-          if (labeled_cache_hits_ != nullptr) labeled_cache_hits_->Increment();
-          if (recorder != nullptr) recorder->Count("io.cache.hit");
-        });
-        Status vs = visit(v, reinterpret_cast<const T*>(hit->data()), len);
-        if (!vs.ok()) return vs;
-        continue;
-      }
-      ALP_OBS_ONLY({
-        if (labeled_cache_misses_ != nullptr) {
-          labeled_cache_misses_->Increment();
-        }
-        if (recorder != nullptr) recorder->Count("io.cache.miss");
-      });
-    }
-    if (!chunk_reader.has_value()) {
-      Status s = LoadChunk(rg, prefetched, &chunk);
+    if (chunk == nullptr) {
+      Status s = AcquireChunk(rg, prefetched, ctx, &chunk);
       if (!s.ok()) return s;
-      ALP_OBS_ONLY({
-        if (recorder != nullptr) {
-          recorder->Count("io.chunk.reads");
-          recorder->Count("io.chunk.bytes", chunk.size());
-        }
-      });
-      StatusOr<ColumnReader<T>> opened = ColumnReader<T>::OpenRowgroupChunk(
-          chunk.data(), chunk.size(), rg_values);
-      if (!opened.ok()) return RebaseOffset(opened.status(), chunk_base);
-      chunk_reader.emplace(std::move(*opened));
     }
-    // Decode into a full-width scratch vector (tail vectors still unpack
-    // kVectorSize lanes), then publish exactly len values.
-    scratch.resize(kVectorSize);
-    Status ds = chunk_reader->TryDecodeVector(lv, scratch.data(), ctx);
-    if (!ds.ok()) return RebaseOffset(std::move(ds), chunk_base);
-    ALP_OBS_ONLY({
-      if (recorder != nullptr) {
-        // ALP exceptions patched in this vector — the per-request cousin of
-        // the aggregate exceptions-per-vector histogram. The header is
-        // re-read only for recorded requests.
-        recorder->Count("decode.exceptions",
-                        chunk_reader->VectorExceptionCount(lv));
-      }
-    });
-    if (caching) {
-      const uint8_t* raw = reinterpret_cast<const uint8_t*>(scratch.data());
-      auto entry = std::make_shared<const std::vector<uint8_t>>(
-          raw, raw + size_t{len} * sizeof(T));
-      // Publish after a fully successful decode and before the visitor:
-      // the cache never holds bytes that did not verify end-to-end, and a
-      // visitor error does not un-decode the vector.
-      cache->Insert(column_id_, v, entry);
-      Status vs = visit(v, reinterpret_cast<const T*>(entry->data()), len);
-      if (!vs.ok()) return vs;
-    } else {
-      Status vs = visit(v, scratch.data(), len);
-      if (!vs.ok()) return vs;
-    }
+    Status ds = DecodeChunkVectors(*chunk, rg, lv, lv + 1, values, ctx);
+    if (!ds.ok()) return ds;
+    Status vs = visit(v, values, VectorLength(v));
+    if (!vs.ok()) return vs;
   }
   return Status::Ok();
 }
@@ -364,33 +383,15 @@ Status SeekableReader<T>::FilterSumRowgroup(size_t rg,
     return Status::InvalidArgument(
         "compressed-domain filter requires a double column");
   } else {
-    const uint64_t rg_values = RowgroupValueCount(rg);
-    if (rg_values == 0) return Status::Ok();
     const size_t first_vector = rg * kRowgroupVectors;
-    const size_t vectors =
-        static_cast<size_t>((rg_values + kVectorSize - 1) / kVectorSize);
-    uint64_t chunk_base, chunk_end;
-    ChunkExtent(rg, &chunk_base, &chunk_end);
-
-    DecodedVectorCache* cache = options_.cache;
-    const bool caching = cache != nullptr && cache->capacity_bytes() > 0;
-#if ALP_OBS
-    obs::FlightRecorder* recorder =
-        ctx != nullptr && ctx->request != nullptr ? ctx->request->recorder
-                                                  : nullptr;
-#endif
-
-    std::vector<uint8_t> chunk;
-    std::optional<ColumnReader<T>> chunk_reader;
+    std::shared_ptr<const Chunk> chunk;
     pushdown::EvalScratch scratch;
-
-    for (size_t lv = 0; lv < vectors; ++lv) {
+    for (size_t lv = 0, vectors = RowgroupVectorCount(rg); lv < vectors; ++lv) {
       const size_t v = first_vector + lv;
       if (ctx != nullptr) {
         Status cs = ctx->Check();
         if (!cs.ok()) return cs;
       }
-      const unsigned len = VectorLength(v);
       // Zone-map push-down from the resident index region: a vector (or a
       // whole rowgroup) whose [min, max] misses the closed envelope is
       // never fetched, let alone decoded.
@@ -399,61 +400,28 @@ Status SeekableReader<T>::FilterSumRowgroup(size_t rg,
         pushdown::NoteSkippedVectors(1);
         continue;
       }
-      if (caching) {
-        if (DecodedVectorCache::Value hit = cache->Lookup(column_id_, v)) {
-          ALP_OBS_ONLY({
-            if (labeled_cache_hits_ != nullptr) {
-              labeled_cache_hits_->Increment();
-            }
-            if (recorder != nullptr) recorder->Count("io.cache.hit");
-          });
-          // Already materialized: select, compact and striped-sum the
-          // cached doubles (the same survivor sum as every other path, so
-          // the result cannot depend on cache state).
-          const double* values = reinterpret_cast<const double*>(hit->data());
-          ++counters->decoded;
-          *sum += pushdown::FilterSumValues(values, len, pred.pred(), &scratch);
-          continue;
-        }
-        ALP_OBS_ONLY({
-          if (labeled_cache_misses_ != nullptr) {
-            labeled_cache_misses_->Increment();
-          }
-          if (recorder != nullptr) recorder->Count("io.cache.miss");
-        });
-      }
-      if (!chunk_reader.has_value()) {
-        Status s = LoadChunk(rg, nullptr, &chunk);
+      if (chunk == nullptr) {
+        Status s = AcquireChunk(rg, nullptr, ctx, &chunk);
         if (!s.ok()) return s;
-        ALP_OBS_ONLY({
-          if (recorder != nullptr) {
-            recorder->Count("io.chunk.reads");
-            recorder->Count("io.chunk.bytes", chunk.size());
-          }
-        });
-        StatusOr<ColumnReader<T>> opened = ColumnReader<T>::OpenRowgroupChunk(
-            chunk.data(), chunk.size(), rg_values);
-        if (!opened.ok()) return RebaseOffset(opened.status(), chunk_base);
-        chunk_reader.emplace(std::move(*opened));
       }
+      const ColumnReader<T>& reader = chunk->reader;
       // Full-inside fast path: the resident zone map proves every value
       // qualifies (valid only for ALP vectors with zero exceptions — see
       // pushdown::ZoneFullInside); decode and sum without the predicate.
-      if (chunk_reader->VectorScheme(lv) == Scheme::kAlp &&
-          chunk_reader->VectorExceptionCount(lv) == 0 &&
+      if (reader.VectorScheme(lv) == Scheme::kAlp &&
+          reader.VectorExceptionCount(lv) == 0 &&
           pushdown::ZoneFullInside(index_.stats[v], pred.pred())) {
         ++counters->full_inside;
         pushdown::NoteFullInsideVector();
-        Status ds = chunk_reader->TryDecodeVector(lv, scratch.values, ctx);
-        if (!ds.ok()) return RebaseOffset(std::move(ds), chunk_base);
-        *sum += pushdown::StripedSumAll(scratch.values, len);
+        Status ds = DecodeChunkVectors(*chunk, rg, lv, lv + 1, scratch.values, ctx);
+        if (!ds.ok()) return ds;
+        *sum += pushdown::StripedSumAll(scratch.values, VectorLength(v));
         continue;
       }
       // Packed-lane evaluation (or per-vector decode-then-filter fallback)
       // inside the verified chunk. The chunk passed OpenRowgroupChunk's
       // structural walk, so the trusted per-vector paths are safe here.
-      pushdown::FilterSumVector(*chunk_reader, lv, pred, &scratch, sum,
-                                counters);
+      pushdown::FilterSumVector(reader, lv, pred, &scratch, sum, counters);
     }
     return Status::Ok();
   }
@@ -469,13 +437,12 @@ Status SeekableReader<T>::TryDecodeVector(size_t v, T* out,
   if (v >= vector_count()) {
     return Status::Corrupt("vector index out of range");
   }
-  const VectorFilter only_v = [v](size_t cand) { return cand == v; };
-  const Visitor copy_out = [out](size_t, const T* values, unsigned len) {
-    std::memcpy(out, values, size_t{len} * sizeof(T));
-    return Status::Ok();
-  };
-  return VisitRowgroupImpl(v / kRowgroupVectors, nullptr, copy_out, ctx,
-                           &only_v);
+  const size_t rg = v / kRowgroupVectors;
+  const size_t lv = v % kRowgroupVectors;
+  std::shared_ptr<const Chunk> chunk;
+  Status s = AcquireChunk(rg, nullptr, ctx, &chunk);
+  if (!s.ok()) return s;
+  return DecodeChunkVectors(*chunk, rg, lv, lv + 1, out, ctx);
 }
 
 template <typename T>
@@ -484,28 +451,38 @@ Status SeekableReader<T>::TryDecodeRowgroup(size_t rg, T* out,
   if (rg >= rowgroup_count()) {
     return Status::Corrupt("rowgroup index out of range");
   }
-  const size_t first_vector = rg * kRowgroupVectors;
-  const Visitor copy_out = [out, first_vector](size_t v, const T* values,
-                                               unsigned len) {
-    std::memcpy(out + (v - first_vector) * kVectorSize, values,
-                size_t{len} * sizeof(T));
-    return Status::Ok();
-  };
-  return VisitRowgroupImpl(rg, nullptr, copy_out, ctx, nullptr);
+  if (RowgroupValueCount(rg) == 0) return Status::Ok();
+  std::shared_ptr<const Chunk> chunk;
+  Status s = AcquireChunk(rg, nullptr, ctx, &chunk);
+  if (!s.ok()) return s;
+  return DecodeChunkVectors(*chunk, rg, 0, RowgroupVectorCount(rg), out, ctx);
 }
 
 template <typename T>
 Status SeekableReader<T>::TryDecodeAll(T* out, const OpContext* ctx) const {
-  const Visitor copy_out = [out](size_t v, const T* values, unsigned len) {
-    std::memcpy(out + v * kVectorSize, values, size_t{len} * sizeof(T));
-    return Status::Ok();
-  };
-  return Scan(copy_out, ctx);
+  return ForEachRowgroup(
+      nullptr, [&](size_t rg, const std::shared_ptr<PrefetchSlot>& slot) {
+        std::shared_ptr<const Chunk> chunk;
+        Status s = AcquireChunk(rg, slot, ctx, &chunk);
+        if (!s.ok()) return s;
+        return DecodeChunkVectors(*chunk, rg, 0, RowgroupVectorCount(rg),
+                                  out + rg * kRowgroupSize, ctx);
+      });
 }
 
 template <typename T>
 Status SeekableReader<T>::Scan(const Visitor& visit, const OpContext* ctx,
                                const VectorFilter* want) const {
+  return ForEachRowgroup(
+      want, [&](size_t rg, const std::shared_ptr<PrefetchSlot>& slot) {
+        return VisitRowgroupImpl(rg, slot, visit, ctx, want);
+      });
+}
+
+template <typename T>
+template <typename Fn>
+Status SeekableReader<T>::ForEachRowgroup(const VectorFilter* want,
+                                          Fn&& fn) const {
   ALP_OBS_SPAN(scan_span, "io.scan", index_.value_count);
   const size_t rowgroups = rowgroup_count();
   const size_t window =
@@ -540,7 +517,7 @@ Status SeekableReader<T>::Scan(const Visitor& visit, const OpContext* ctx,
       inflight.erase(it);
       drop_outstanding();
     }
-    Status s = VisitRowgroupImpl(rg, slot, visit, ctx, want);
+    Status s = fn(rg, slot);
     if (!s.ok()) {
       result = std::move(s);
       break;

@@ -30,20 +30,29 @@
 /// only the one rowgroup it needs.
 ///
 /// Chunk lifecycle (DESIGN.md "Out-of-core reads"):
-///   fetch (ReadAt)  →  verify (XXH64 vs the indexed checksum, v3)
+///   cache lookup  →  on a miss: fetch (ReadAt, or an in-place View of a
+///   memory source)  →  verify (XXH64 vs the indexed checksum, v3)
 ///     →  open (ColumnReader::OpenRowgroupChunk: full structural walk)
-///     →  decode (the same bounds-checked TryDecodeVector as in-memory)
-///     →  publish (decoded vectors inserted into the DecodedVectorCache)
+///     →  publish (the verified bytes and the parsed chunk reader go into
+///        the DecodedVectorCache as one entry)
+///   then, hit or miss: decode (the same bounds-checked TryDecodeVector as
+///   in-memory, straight into the caller's buffer) or packed-evaluate.
 /// A failure at any stage aborts before the next one, so nothing
-/// unverified is ever decoded and nothing undecoded is ever cached —
-/// corruption surfaces as the same Status class the in-memory validator
-/// would report and can never poison the cache.
+/// unverified is ever decoded and nothing unverified or unopened is ever
+/// cached — corruption surfaces as the same Status class the in-memory
+/// validator would report and can never poison the cache. A hit re-runs
+/// neither the checksum nor the walk.
 ///
 /// The per-rowgroup checksum is what makes this shape possible at all:
 /// rowgroups are position-independent, individually verifiable split
 /// points, so a seek lands on a self-contained unit. A gzip-style stream
 /// would instead have to chase window state across chunk boundaries
 /// (rapidgzip's WindowMap exists to patch exactly that problem away).
+///
+/// Chunk bytes: a source that lends zero-copy Views (MemorySource,
+/// OwnedMemorySource) is checksummed and decoded in place and the cache
+/// entry pins the source; mmap and pread chunks are copied first, because
+/// the file can change after its chunk was verified.
 ///
 /// Concurrency: all read APIs are const and safe from any number of
 /// threads; mutable state is confined to the shared DecodedVectorCache
@@ -59,12 +68,13 @@
 /// consume path publishes to the cache, cancellation mid-prefetch cannot
 /// leave a partial entry behind.
 ///
-/// Fault sites (behind ALP_FAULTS): `io.chunk_read` fires on the consume
-/// path before a chunk's bytes are used (deterministic regardless of
+/// Fault sites (behind ALP_FAULTS): `io.chunk_read` fires on every cache
+/// miss before the chunk's bytes are used (deterministic regardless of
 /// whether the prefetcher or the caller fetched them); `io.cache_evict`
-/// lives in DecodedVectorCache::Insert. Obs: `io.chunk_fetch` spans wrap
-/// every source read, `io.cache.*` counters track the cache, and the
-/// `io.prefetch.depth` gauge tracks outstanding prefetched chunks.
+/// lives in DecodedVectorCache::Insert. Obs: `io.cache_lookup`,
+/// `io.chunk_fetch` (source reads) and `io.chunk_open` spans, `io.cache.*`
+/// counters (one hit or miss per chunk), and the `io.prefetch.depth` gauge
+/// of outstanding prefetched chunks.
 
 namespace alp::io {
 
@@ -84,8 +94,8 @@ struct SeekableReaderOptions {
   /// synchronous read) once the pool already has this many queued tasks.
   size_t prefetch_queue_limit = 64;
 
-  /// Shared decoded-vector cache; null (or a capacity-0 cache) disables
-  /// caching. The cache must outlive the reader.
+  /// Shared chunk cache; null (or a capacity-0 cache) disables caching.
+  /// The cache must outlive the reader.
   DecodedVectorCache* cache = nullptr;
 
   /// When non-empty, the reader registers per-column labeled cache
@@ -117,7 +127,7 @@ class SeekableReader {
   size_t rowgroup_count() const { return index_.rowgroup_offsets.size(); }
 
   /// Process-unique identity of this reader, the cache-key namespace for
-  /// its vectors (a re-opened column starts cold by construction).
+  /// its chunks (a re-opened column starts cold by construction).
   uint64_t column_id() const { return column_id_; }
 
   /// The parsed header/index region (tests aim corruption at chunk extents
@@ -148,8 +158,8 @@ class SeekableReader {
   /// at all on a cache hit.
   Status TryDecodeVector(size_t v, T* out, const OpContext* ctx = nullptr) const;
 
-  /// Decodes all of rowgroup \p rg contiguously into \p out with a single
-  /// chunk fetch (cache hits are served without the fetch).
+  /// Decodes all of rowgroup \p rg contiguously into \p out with at most
+  /// one chunk fetch (none on a cache hit).
   Status TryDecodeRowgroup(size_t rg, T* out, const OpContext* ctx = nullptr) const;
 
   /// Full-column decode into \p out (room for value_count() values);
@@ -175,10 +185,8 @@ class SeekableReader {
   /// evaluated on their FFOR-packed lanes inside the fetched chunk
   /// (alp/pushdown.h), adding the rowgroup's partial (its vectors' striped
   /// survivor sums, in vector order) to *sum, bit-identical to filtering
-  /// the decoded values. Cache hits are filtered in the double domain
-  /// (select + compact + striped sum); the packed path does not insert into
-  /// the cache (it never materializes whole vectors). \p counters
-  /// accumulates the per-vector outcome mix.
+  /// the decoded values. A cached chunk is evaluated the same way, in
+  /// place. \p counters accumulates the per-vector outcome mix.
   Status FilterSumRowgroup(size_t rg, const TranslatedPredicate& pred,
                            double* sum, pushdown::VectorCounters* counters,
                            const OpContext* ctx = nullptr) const;
@@ -188,6 +196,7 @@ class SeekableReader {
 
  private:
   struct PrefetchSlot;
+  struct Chunk;
 
   SeekableReader(std::shared_ptr<RandomAccessSource> source,
                  SeekableReaderOptions options,
@@ -196,11 +205,26 @@ class SeekableReader {
   /// [begin, end) byte extent of rowgroup \p rg in the file.
   void ChunkExtent(size_t rg, uint64_t* begin, uint64_t* end) const;
 
-  /// Obtains rowgroup \p rg's verified chunk bytes: from \p prefetched when
-  /// the prefetcher delivered them, else via a synchronous ReadAt. Runs the
-  /// io.chunk_read fault site and the XXH64 verification either way.
-  Status LoadChunk(size_t rg, const std::shared_ptr<PrefetchSlot>& prefetched,
-                   std::vector<uint8_t>* bytes) const;
+  /// Rowgroup \p rg's verified, opened chunk: the cached entry on a hit;
+  /// on a miss the bytes come from \p prefetched when the prefetcher
+  /// delivered them, else from an in-place View or a synchronous ReadAt,
+  /// then pass the io.chunk_read fault site, the XXH64 verification and
+  /// the structural open before they are published to the cache. Polls
+  /// \p ctx first, so a dead request touches no storage.
+  Status AcquireChunk(size_t rg, const std::shared_ptr<PrefetchSlot>& prefetched,
+                      const OpContext* ctx,
+                      std::shared_ptr<const Chunk>* chunk) const;
+
+  /// Decodes vectors [\p lv_begin, \p lv_end) of rowgroup \p rg (chunk-local
+  /// indexes) from \p chunk into \p out, contiguously.
+  Status DecodeChunkVectors(const Chunk& chunk, size_t rg, size_t lv_begin,
+                            size_t lv_end, T* out, const OpContext* ctx) const;
+
+  /// Scan's rowgroup loop with the prefetch window: calls \p fn(rg, slot)
+  /// for every rowgroup with a wanted vector, in order, stopping at the
+  /// first non-OK Status.
+  template <typename Fn>
+  Status ForEachRowgroup(const VectorFilter* want, Fn&& fn) const;
 
   /// Schedules a background read of rowgroup \p rg; returns null when the
   /// pool refused (saturated or shutting down) — the caller falls back to
@@ -214,6 +238,9 @@ class SeekableReader {
 
   /// Whether any vector of rowgroup \p rg passes \p want.
   bool RowgroupWanted(size_t rg, const VectorFilter* want) const;
+
+  /// Vectors in rowgroup \p rg.
+  size_t RowgroupVectorCount(size_t rg) const;
 
   std::shared_ptr<RandomAccessSource> source_;
   SeekableReaderOptions options_;

@@ -151,8 +151,8 @@ Status Server::AddColumn(const std::string& name,
     return Status::Corrupt("server catalog requires ALP columns");
   }
   // Every catalog column serves through the out-of-core reader: chunked,
-  // checksum-verified reads sharing one decoded-vector cache. A capacity-0
-  // cache (cache_bytes = 0) keeps the chunked path but caches nothing.
+  // checksum-verified reads sharing one chunk cache. A capacity-0 cache
+  // (cache_bytes = 0) keeps the chunked path but caches nothing.
   Status seekable = column.EnableSeekable(&cache_, name);
   if (!seekable.ok()) return seekable;
   auto shared =
@@ -441,8 +441,9 @@ Response Server::ExecuteOnColumn(const Request& request,
 
   // Every catalog column executes through the out-of-core SeekableReader:
   // chunk fetch → checksum verify → structural open → bounds-checked decode,
-  // with hot decoded vectors served from the shared cache (when the server
-  // was configured with a cache budget).
+  // with hot verified chunks served from the shared cache (when the server
+  // was configured with a cache budget), decoded or packed-evaluated in
+  // place.
   const io::SeekableReader<double>* seekable = column.Seekable();
   if (seekable == nullptr) {
     // AddColumn rejects non-ALP columns and fails on EnableSeekable errors,
@@ -530,18 +531,30 @@ Response Server::ExecuteOnColumn(const Request& request,
       return response;
     }
     case QueryClass::kScan: {
-      std::vector<double> values(seekable->value_count());
-      response.status = seekable->TryDecodeAll(values.data(), &ctx);
-      if (!response.status.ok()) return response;
-      // Same hand-off checksum as the engine's scan operator: touch one
-      // value per vector so the decode is consumed.
+      // Same hand-off checksum as the engine's scan operator: the first
+      // value of every vector, added in vector order, so the decode is
+      // consumed. Without return_values the scan streams vector by vector
+      // and never holds the decoded column.
       double checksum = 0.0;
-      for (size_t v = 0; v < values.size(); v += kVectorSize) {
-        checksum += values[v];
+      if (request.return_values) {
+        std::vector<double> values(seekable->value_count());
+        response.status = seekable->TryDecodeAll(values.data(), &ctx);
+        if (!response.status.ok()) return response;
+        for (size_t v = 0; v < values.size(); v += kVectorSize) {
+          checksum += values[v];
+        }
+        response.values = std::move(values);
+      } else {
+        response.status = seekable->Scan(
+            [&checksum](size_t, const double* values, unsigned) {
+              checksum += values[0];
+              return Status::Ok();
+            },
+            &ctx);
+        if (!response.status.ok()) return response;
       }
       response.sum = checksum;
-      response.tuples = values.size();
-      if (request.return_values) response.values = std::move(values);
+      response.tuples = seekable->value_count();
       return response;
     }
   }

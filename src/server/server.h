@@ -87,10 +87,13 @@ struct ServerConfig {
   /// Admit fraction of the current limit per class, indexed by QueryClass.
   double shed_fraction[kQueryClassCount] = {1.0, 0.75, 0.5};
   size_t slow_start_floor = 8; ///< Admit limit right after an overflow.
-  /// Byte budget for the decoded-vector cache shared across the whole
-  /// catalog (the CLI's --catalog-bytes-limit). 0 disables caching: every
-  /// request decodes from the compressed chunks. Catalog columns always
-  /// execute through the out-of-core SeekableReader either way.
+  /// Byte budget, in compressed bytes, for the chunk cache shared across
+  /// the whole catalog (the CLI's --catalog-bytes-limit): verified rowgroup
+  /// chunks stay resident and requests decode from them in place. It is
+  /// split over 8 shards, and a chunk larger than one shard's share is not
+  /// cached. 0 disables caching: every request fetches, verifies and opens
+  /// its chunks. Catalog columns always execute through the out-of-core
+  /// SeekableReader either way.
   size_t cache_bytes = 0;
 
   // --- request-scoped observability (see docs/OBSERVABILITY.md) ----------
@@ -215,9 +218,9 @@ class Server {
 
   ServerStats stats() const;
 
-  /// Aggregated decoded-vector cache counters (hits / misses / evictions /
-  /// resident bytes) across every catalog column; all-zero when
-  /// ServerConfig::cache_bytes is 0.
+  /// Aggregated chunk-cache counters (hits / misses / evictions / resident
+  /// compressed bytes, one hit or miss per chunk touched) across every
+  /// catalog column; all-zero when ServerConfig::cache_bytes is 0.
   io::DecodedVectorCache::Stats cache_stats() const {
     return cache_.TotalStats();
   }

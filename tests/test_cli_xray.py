@@ -148,7 +148,7 @@ def main():
             f.write(blob)
         run(cli, ["inspect", flipped], expect_rc=(11, 12))
 
-        # --- stats: decoded-vector cache counters ------------------------
+        # --- stats: chunk cache counters ----------------------------------
         # The stats profile runs a cold+warm out-of-core pass through a
         # SeekableReader sharing a DecodedVectorCache, so the cache line
         # must show equal hits and misses (pass 2 hits exactly what pass 1

@@ -2,16 +2,20 @@
 // same data returns the same bits at 1/2/4/8 threads, on every repeat (so
 // whichever worker claims whichever morsel), in both filter modes, and
 // through every route — the in-memory engine, the out-of-core seekable
-// reader behind a shared decoded-vector cache (cold and warm), and the
-// server — and those bits are the SurvivorSum contract computed straight
-// from the raw values (tests/test_fixtures.h). The data mixes ALP
+// reader behind a shared chunk cache (cold, warm and capacity 0, over
+// memory, mmap and pread sources), and the server — and those bits are the
+// SurvivorSum contract computed straight from the raw values
+// (tests/test_fixtures.h). The data mixes ALP
 // rowgroups with exceptions and ALP_rd rowgroups, so the packed path, the
 // dense and sparse gathers, the full-inside fast path and the
 // decode-then-filter fallback all contribute to one sum.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <iterator>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -19,9 +23,12 @@
 #include "engine/operators.h"
 #include "engine/table.h"
 #include "io/decoded_vector_cache.h"
+#include "io/random_access_source.h"
+#include "io/seekable_reader.h"
 #include "server/server.h"
 #include "test_fixtures.h"
 #include "util/bits.h"
+#include "util/file_io.h"
 
 namespace alp {
 namespace {
@@ -182,6 +189,94 @@ TEST_F(Determinism, ServerAggregatesMatchTheEngineBits) {
       }
     }
   }
+}
+
+/// Every seekable read of \p reader, concatenated: the full decode, each
+/// rowgroup, each vector, a scan, and each predicate's filtered sum folded
+/// in rowgroup order (the server's fold).
+std::vector<double> SeekableAnswers(const io::SeekableReader<double>& reader) {
+  const size_t n = reader.value_count();
+  std::vector<double> answers(n);
+  EXPECT_TRUE(reader.TryDecodeAll(answers.data()).ok());
+  std::vector<double> buffer(kRowgroupSize);
+  for (size_t rg = 0; rg < reader.rowgroup_count(); ++rg) {
+    EXPECT_TRUE(reader.TryDecodeRowgroup(rg, buffer.data()).ok());
+    answers.insert(answers.end(), buffer.begin(),
+                   buffer.begin() + reader.RowgroupValueCount(rg));
+  }
+  for (size_t v = 0; v < reader.vector_count(); ++v) {
+    EXPECT_TRUE(reader.TryDecodeVector(v, buffer.data()).ok());
+    answers.insert(answers.end(), buffer.begin(),
+                   buffer.begin() + reader.VectorLength(v));
+  }
+  EXPECT_TRUE(reader
+                  .Scan([&](size_t, const double* values, unsigned len) {
+                    answers.insert(answers.end(), values, values + len);
+                    return Status::Ok();
+                  })
+                  .ok());
+  for (const Predicate& pred : kPredicates) {
+    const TranslatedPredicate tp(pred);
+    double sum = 0.0;
+    pushdown::VectorCounters counters;
+    for (size_t rg = 0; rg < reader.rowgroup_count(); ++rg) {
+      double partial = 0.0;
+      EXPECT_TRUE(reader.FilterSumRowgroup(rg, tp, &partial, &counters).ok());
+      sum += partial;
+    }
+    answers.push_back(sum);
+  }
+  return answers;
+}
+
+TEST_F(Determinism, SeekableAnswersIgnoreCacheStateOnEverySource) {
+  const std::vector<uint8_t> bytes = CompressColumn(data_->data(), data_->size());
+  const std::string path = testing::TempDir() + "/determinism_cache_state.alp";
+  ASSERT_TRUE(WriteFileBytes(path, bytes.data(), bytes.size()));
+  auto mmap = io::MmapSource::Open(path);
+  auto pread = io::PreadSource::Open(path);
+  ASSERT_TRUE(mmap.ok() && pread.ok());
+  const std::shared_ptr<io::RandomAccessSource> sources[] = {
+      std::make_shared<io::MemorySource>(bytes.data(), bytes.size()), *mmap,
+      *pread};
+
+  std::vector<double> want;
+  for (const auto& source : sources) {
+    SCOPED_TRACE(source->name());
+    io::DecodedVectorCache off(0);
+    io::DecodedVectorCache cache(64 << 20);  // Holds the whole column.
+    io::SeekableReaderOptions uncached;
+    uncached.cache = &off;
+    io::SeekableReaderOptions cached;
+    cached.cache = &cache;
+    auto cold_reader = io::SeekableReader<double>::Open(source, uncached);
+    auto warm_reader = io::SeekableReader<double>::Open(source, cached);
+    ASSERT_TRUE(cold_reader.ok() && warm_reader.ok());
+
+    const std::vector<double> uncached_answers = SeekableAnswers(**cold_reader);
+    const std::vector<double> cold = SeekableAnswers(**warm_reader);
+    const uint64_t hits_before_warm = cache.TotalStats().hits;
+    const std::vector<double> warm = SeekableAnswers(**warm_reader);
+    EXPECT_GT(cache.TotalStats().hits, hits_before_warm);
+    EXPECT_EQ(cache.TotalStats().misses, (*warm_reader)->rowgroup_count());
+
+    if (want.empty()) {
+      want = uncached_answers;
+      ASSERT_EQ(std::memcmp(want.data(), data_->data(),
+                            data_->size() * sizeof(double)),
+                0);
+      for (size_t p = 0; p < std::size(kPredicates); ++p) {
+        EXPECT_EQ(BitsOf(want[want.size() - std::size(kPredicates) + p]),
+                  BitsOf(testutil::ContractSum(*data_, &kPredicates[p])));
+      }
+    }
+    for (const std::vector<double>* got : {&uncached_answers, &cold, &warm}) {
+      ASSERT_EQ(got->size(), want.size());
+      EXPECT_EQ(std::memcmp(got->data(), want.data(), want.size() * sizeof(double)),
+                0);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(Determinism, DotSumEveryThreadCountAndMode) {

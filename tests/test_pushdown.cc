@@ -436,8 +436,8 @@ TEST(PushdownParity, SeekablePathMatchesOracleAndCaches) {
   ASSERT_TRUE(cold.status.ok());
   ASSERT_TRUE(oracle.status.ok());
   EXPECT_EQ(BitsOf(cold.sum), BitsOf(oracle.sum));
-  // The oracle run populated the decoded-vector cache; the warm run takes
-  // the cache-hit branch and must still produce the same bits.
+  // The earlier runs populated the chunk cache; the warm run packed-
+  // evaluates the cached chunks and must still produce the same bits.
   const QueryResult warm = RunFilterSum(column, pred, pool, nullptr,
                                         FilterMode::kAuto);
   ASSERT_TRUE(warm.status.ok());

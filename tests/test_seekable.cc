@@ -1,6 +1,7 @@
 // Torture tests for the out-of-core column stack: RandomAccessSource
-// implementations, the sharded DecodedVectorCache, and SeekableReader's
-// chunked fetch -> verify -> open -> decode -> publish pipeline.
+// implementations, the sharded chunk cache (DecodedVectorCache), and
+// SeekableReader's chunked lookup -> fetch -> verify -> open -> publish ->
+// decode pipeline.
 //
 // The load-bearing invariants proved here:
 //  - Byte identity: every seekable read path (point lookup, rowgroup,
@@ -11,10 +12,12 @@
 //    class through the seekable path as through the in-memory validator.
 //  - Corruption in an uncached chunk surfaces on first touch and never
 //    poisons the cache: nothing is inserted unless the chunk checksum and
-//    the structural walk and the vector decode all passed.
+//    the structural walk both passed.
 //  - The cache stays within its byte budget with LRU eviction order, under
 //    1/2/4/8 concurrent readers, and cancellation mid-prefetch leaves it
 //    consistent.
+//  - Warm reads touch no storage: lookups, scans and filtered sums served
+//    from cached chunks make zero ReadAt calls.
 //
 // The LargeFile.* tests are the out-of-core CI proof: they stream-write a
 // column several times larger than the address-space rlimit the CI job
@@ -36,6 +39,8 @@
 
 #include "alp/alp.h"
 #include "alp/appender.h"
+#include "alp/predicate.h"
+#include "data/datasets.h"
 #include "io/decoded_vector_cache.h"
 #include "io/random_access_source.h"
 #include "io/seekable_reader.h"
@@ -125,6 +130,48 @@ std::shared_ptr<SeekableReader<double>> OpenSeekable(
   EXPECT_TRUE(reader.ok()) << reader.status().ToString();
   return reader.ok() ? *reader : nullptr;
 }
+
+/// Compressed bytes of rowgroup \p rg's chunk in a file of \p file_size.
+size_t ChunkBytes(const SeekableReader<double>& reader, size_t rg,
+                  size_t file_size) {
+  const auto& offsets = reader.index().rowgroup_offsets;
+  const uint64_t end = rg + 1 < offsets.size() ? offsets[rg + 1] : file_size;
+  return static_cast<size_t>(end - offsets[rg]);
+}
+
+/// A one-shard budget that holds either chunk of a two-rowgroup column but
+/// never both, so alternating between them evicts on every switch.
+size_t OneChunkBudget(const SeekableReader<double>& reader, size_t file_size) {
+  const size_t a = ChunkBytes(reader, 0, file_size);
+  const size_t b = ChunkBytes(reader, 1, file_size);
+  return std::max(a, b) + std::min(a, b) / 2;
+}
+
+/// Counts ReadAt calls on the memory source it wraps. It lends views only
+/// when \p views is set, so without them it behaves like a file source:
+/// every chunk it supplies is a ReadAt.
+class CountingSource final : public RandomAccessSource {
+ public:
+  CountingSource(const std::vector<uint8_t>& bytes, bool views)
+      : inner_(bytes.data(), bytes.size()), views_(views) {}
+
+  Status ReadAt(uint64_t offset, size_t len, uint8_t* out) const override {
+    reads_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.ReadAt(offset, len, out);
+  }
+  uint64_t size() const override { return inner_.size(); }
+  const std::string& name() const override { return inner_.name(); }
+  const uint8_t* View(uint64_t offset, size_t len) const override {
+    return views_ ? inner_.View(offset, len) : nullptr;
+  }
+
+  uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
+
+ private:
+  MemorySource inner_;
+  bool views_;
+  mutable std::atomic<uint64_t> reads_{0};
+};
 
 /// End-to-end Status of the seekable path on \p buffer: open + full decode.
 Status SeekableOutcome(const std::vector<uint8_t>& buffer) {
@@ -461,25 +508,28 @@ TEST(SeekableFaults, ChunkReadFaultSurfacesAndHeals) {
             0);
 }
 
+/// A cache entry charging \p bytes; distinct calls give distinct entries.
+DecodedVectorCache::Value CacheEntry(size_t bytes) {
+  return std::make_shared<const DecodedVectorCache::Entry>(bytes);
+}
+
 TEST(SeekableFaults, CacheEvictFaultDeclinesInsertWithoutCorruption) {
   FaultGuard guard;
-  // Capacity of two full vectors in one shard, so the third insert must
+  // Capacity of two chunk entries in one shard, so the third insert must
   // evict — which is exactly where the fault fires.
-  DecodedVectorCache cache(2 * kVectorSize * sizeof(double), 1);
-  const auto entry = [](double fill) {
-    std::vector<uint8_t> bytes(kVectorSize * sizeof(double));
-    std::vector<double> values(kVectorSize, fill);
-    std::memcpy(bytes.data(), values.data(), bytes.size());
-    return std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
-  };
-  cache.Insert(1, 0, entry(0.0));
-  cache.Insert(1, 1, entry(1.0));
+  const size_t entry_bytes = 96 << 10;
+  DecodedVectorCache cache(2 * entry_bytes, 1);
+  const auto entry = [&] { return CacheEntry(entry_bytes); };
+  const DecodedVectorCache::Value first = entry();
+  const DecodedVectorCache::Value second = entry();
+  cache.Insert(1, 0, first);
+  cache.Insert(1, 1, second);
   ASSERT_EQ(cache.TotalStats().entries, 2u);
 
   fault::FaultSpec spec;
   spec.code = StatusCode::kResourceExhausted;
   fault::Arm("io.cache_evict", spec);
-  cache.Insert(1, 2, entry(2.0));
+  cache.Insert(1, 2, entry());
   fault::Disarm("io.cache_evict");
 
   // The insert was declined (never half-applied): both residents intact,
@@ -489,12 +539,12 @@ TEST(SeekableFaults, CacheEvictFaultDeclinesInsertWithoutCorruption) {
   EXPECT_EQ(stats.evictions, 0u);
   EXPECT_GE(stats.rejected, 1u);
   EXPECT_EQ(cache.Lookup(1, 2), nullptr);
-  ASSERT_NE(cache.Lookup(1, 0), nullptr);
-  ASSERT_NE(cache.Lookup(1, 1), nullptr);
+  EXPECT_EQ(cache.Lookup(1, 0), first);
+  EXPECT_EQ(cache.Lookup(1, 1), second);
   EXPECT_TRUE(cache.CheckInvariants());
 
   // With the fault gone the same insert evicts normally.
-  cache.Insert(1, 2, entry(2.0));
+  cache.Insert(1, 2, entry());
   EXPECT_NE(cache.Lookup(1, 2), nullptr);
   EXPECT_EQ(cache.TotalStats().evictions, 1u);
   EXPECT_TRUE(cache.CheckInvariants());
@@ -599,20 +649,15 @@ TEST(SeekableCorruption, StructuralCorruptionPastChecksumNeverPoisons) {
 // ---------------------------------------------------------------------------
 // Cache capacity bounds and LRU eviction order.
 
-std::shared_ptr<const std::vector<uint8_t>> CacheEntry(size_t bytes,
-                                                       uint8_t fill) {
-  return std::make_shared<const std::vector<uint8_t>>(bytes, fill);
-}
-
 TEST(DecodedVectorCache, StaysWithinCapacityWithLruEvictionOrder) {
-  const size_t entry_bytes = kVectorSize * sizeof(double);
+  const size_t entry_bytes = 96 << 10;  // About one City-Temp chunk.
   DecodedVectorCache cache(4 * entry_bytes, 1);  // One shard: global order.
-  for (uint64_t v = 0; v < 6; ++v) {
-    cache.Insert(9, v, CacheEntry(entry_bytes, static_cast<uint8_t>(v)));
+  for (uint64_t rg = 0; rg < 6; ++rg) {
+    cache.Insert(9, rg, CacheEntry(entry_bytes));
     EXPECT_TRUE(cache.CheckInvariants());
     EXPECT_LE(cache.TotalStats().bytes, 4 * entry_bytes);
   }
-  // 6 inserts into room for 4: vectors 0 and 1 (the least recent) are gone.
+  // 6 inserts into room for 4: rowgroups 0 and 1 (the least recent) are gone.
   DecodedVectorCache::Stats stats = cache.TotalStats();
   EXPECT_EQ(stats.entries, 4u);
   EXPECT_EQ(stats.evictions, 2u);
@@ -623,13 +668,13 @@ TEST(DecodedVectorCache, StaysWithinCapacityWithLruEvictionOrder) {
   // MRU-first order after that Lookup(2): 2, then 5, 4, 3.
   std::vector<DecodedVectorCache::Key> keys = cache.ShardKeysMruFirst(0);
   ASSERT_EQ(keys.size(), 4u);
-  EXPECT_EQ(keys[0].vector, 2u);
-  EXPECT_EQ(keys[1].vector, 5u);
-  EXPECT_EQ(keys[2].vector, 4u);
-  EXPECT_EQ(keys[3].vector, 3u);
+  EXPECT_EQ(keys[0].rowgroup, 2u);
+  EXPECT_EQ(keys[1].rowgroup, 5u);
+  EXPECT_EQ(keys[2].rowgroup, 4u);
+  EXPECT_EQ(keys[3].rowgroup, 3u);
 
-  // The next insert evicts the LRU (vector 3), not the recently-touched 2.
-  cache.Insert(9, 6, CacheEntry(entry_bytes, 6));
+  // The next insert evicts the LRU (rowgroup 3), not the recently-touched 2.
+  cache.Insert(9, 6, CacheEntry(entry_bytes));
   EXPECT_EQ(cache.Lookup(9, 3), nullptr);
   ASSERT_NE(cache.Lookup(9, 2), nullptr);
   EXPECT_TRUE(cache.CheckInvariants());
@@ -637,7 +682,7 @@ TEST(DecodedVectorCache, StaysWithinCapacityWithLruEvictionOrder) {
 
 TEST(DecodedVectorCache, ZeroCapacityCachesNothing) {
   DecodedVectorCache cache(0);
-  cache.Insert(1, 0, CacheEntry(64, 1));
+  cache.Insert(1, 0, CacheEntry(64));
   EXPECT_EQ(cache.Lookup(1, 0), nullptr);
   const DecodedVectorCache::Stats stats = cache.TotalStats();
   EXPECT_EQ(stats.entries, 0u);
@@ -648,8 +693,8 @@ TEST(DecodedVectorCache, ZeroCapacityCachesNothing) {
 TEST(DecodedVectorCache, OversizedAndNullEntriesAreRejected) {
   DecodedVectorCache cache(1024, 1);
   cache.Insert(1, 0, nullptr);
-  cache.Insert(1, 1, CacheEntry(0, 0));
-  cache.Insert(1, 2, CacheEntry(4096, 0));  // Larger than the whole shard.
+  cache.Insert(1, 1, CacheEntry(0));
+  cache.Insert(1, 2, CacheEntry(4096));  // Larger than the whole shard.
   const DecodedVectorCache::Stats stats = cache.TotalStats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_GE(stats.rejected, 3u);
@@ -659,28 +704,30 @@ TEST(DecodedVectorCache, OversizedAndNullEntriesAreRejected) {
 TEST(DecodedVectorCache, ReinsertRefreshesRecencyKeepingFirstValue) {
   const size_t entry_bytes = 128;
   DecodedVectorCache cache(4 * entry_bytes, 1);
-  cache.Insert(1, 0, CacheEntry(entry_bytes, 0xAA));
-  cache.Insert(1, 1, CacheEntry(entry_bytes, 0xBB));
-  // Concurrent decoders race to insert the same key: first write wins, the
-  // loser's bytes are dropped (both decoded the same verified chunk, so
-  // the values are identical anyway — this just pins the accounting).
-  cache.Insert(1, 0, CacheEntry(entry_bytes, 0xCC));
-  auto hit = cache.Lookup(1, 0);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ((*hit)[0], 0xAA);
+  const DecodedVectorCache::Value first = CacheEntry(entry_bytes);
+  cache.Insert(1, 0, first);
+  cache.Insert(1, 1, CacheEntry(entry_bytes));
+  // Concurrent readers race to insert the same chunk: first write wins, the
+  // loser's entry is dropped (both opened the same verified bytes, so they
+  // decode identically anyway — this just pins the accounting).
+  cache.Insert(1, 0, CacheEntry(entry_bytes));
+  EXPECT_EQ(cache.Lookup(1, 0), first);
   EXPECT_EQ(cache.TotalStats().entries, 2u);
   // But the re-insert refreshed recency: key 1 is now the LRU.
   std::vector<DecodedVectorCache::Key> keys = cache.ShardKeysMruFirst(0);
   ASSERT_EQ(keys.size(), 2u);
-  EXPECT_EQ(keys.back().vector, 1u);
+  EXPECT_EQ(keys.back().rowgroup, 1u);
   EXPECT_TRUE(cache.CheckInvariants());
 }
 
 TEST(SeekableCache, ScanStaysWithinTinyBudget) {
-  // A cache an order of magnitude smaller than the column: scans keep
+  // A cache with room for one chunk of a two-chunk column: scans keep
   // evicting, the budget holds at every step, and answers stay identical.
   const Corpus& corpus = TwoRowgroups();
-  const size_t capacity = 8 * kVectorSize * sizeof(double);
+  auto probe = OpenSeekable(
+      std::make_shared<MemorySource>(corpus.buffer.data(), corpus.buffer.size()));
+  ASSERT_NE(probe, nullptr);
+  const size_t capacity = OneChunkBudget(*probe, corpus.buffer.size());
   DecodedVectorCache cache(capacity, 1);
   SeekableReaderOptions options;
   options.cache = &cache;
@@ -752,9 +799,13 @@ TEST(SeekableConcurrency, ConcurrentReadersShareOneCacheConsistently) {
   const Corpus& corpus = TwoRowgroups();
   for (unsigned threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    // Small single-shard cache: every thread contends on one LRU list and
-    // evictions happen constantly — the worst case for consistency.
-    const size_t capacity = 16 * kVectorSize * sizeof(double);
+    // Single-shard cache with room for one chunk: every thread contends on
+    // one LRU list and evictions happen constantly — the worst case for
+    // consistency.
+    auto probe = OpenSeekable(std::make_shared<MemorySource>(
+        corpus.buffer.data(), corpus.buffer.size()));
+    ASSERT_NE(probe, nullptr);
+    const size_t capacity = OneChunkBudget(*probe, corpus.buffer.size());
     DecodedVectorCache cache(capacity, 1);
     SeekableReaderOptions options;
     options.cache = &cache;
@@ -820,9 +871,12 @@ TEST(SeekableConcurrency, RegistryCountersMatchCacheStatsUnderContention) {
   const uint64_t insert0 = insert.Total();
 
   {
-    // Small enough to evict constantly, single shard for maximal
-    // contention on one LRU list.
-    const size_t capacity = 12 * kVectorSize * sizeof(double);
+    // Room for one chunk, so it evicts constantly; single shard for
+    // maximal contention on one LRU list.
+    auto probe = OpenSeekable(std::make_shared<MemorySource>(
+        corpus.buffer.data(), corpus.buffer.size()));
+    ASSERT_NE(probe, nullptr);
+    const size_t capacity = OneChunkBudget(*probe, corpus.buffer.size());
     DecodedVectorCache cache(capacity, 1);
     SeekableReaderOptions options;
     options.cache = &cache;
@@ -839,8 +893,8 @@ TEST(SeekableConcurrency, RegistryCountersMatchCacheStatsUnderContention) {
         std::mt19937_64 rng(7000 + t);
         std::vector<double> got(kVectorSize);
         for (int i = 0; i < 400; ++i) {
-          // Skewed access: a hot front half (hits) plus a uniform tail
-          // (misses + evictions).
+          // Skewed access: a hot front half (rowgroup 0, hits) plus a
+          // uniform tail (switches to rowgroup 1: misses + evictions).
           const size_t range = i % 2 == 0 ? reader->vector_count() / 2 + 1
                                           : reader->vector_count();
           const size_t v = rng() % range;
@@ -1022,6 +1076,130 @@ TEST(SeekablePrefetch, ConcurrentShutdownMidScanCompletesCleanly) {
 }
 
 // ---------------------------------------------------------------------------
+// Chunk granularity: warm reads touch no storage, memory sources are
+// verified in place, every miss passes the chunk-read fault site, and the
+// budget holds compressed bytes.
+
+TEST(SeekableCache, WarmReadsMakeNoSourceReads) {
+  // A source without views behaves like a file: a cold chunk is one ReadAt,
+  // and everything served from a cached chunk must not call it at all.
+  const Corpus& corpus = TwoRowgroups();
+  auto source = std::make_shared<CountingSource>(corpus.buffer, /*views=*/false);
+  DecodedVectorCache cache(64ull << 20);
+  SeekableReaderOptions options;
+  options.cache = &cache;
+  auto reader = OpenSeekable(source, options);
+  ASSERT_NE(reader, nullptr);
+  const TranslatedPredicate pred(Predicate::Between(-100.0, 100.0));
+  std::vector<double> out(reader->vector_count() * kVectorSize);
+  const auto read_everything = [&] {
+    EXPECT_TRUE(reader->TryDecodeAll(out.data()).ok());
+    for (size_t v = 0; v < reader->vector_count(); ++v) {
+      EXPECT_TRUE(reader->TryDecodeVector(v, out.data()).ok());
+    }
+    for (size_t rg = 0; rg < reader->rowgroup_count(); ++rg) {
+      EXPECT_TRUE(reader->TryDecodeRowgroup(rg, out.data()).ok());
+      double sum = 0.0;
+      pushdown::VectorCounters counters;
+      EXPECT_TRUE(reader->FilterSumRowgroup(rg, pred, &sum, &counters).ok());
+    }
+    EXPECT_TRUE(reader
+                    ->Scan([](size_t, const double*, unsigned) {
+                      return Status::Ok();
+                    })
+                    .ok());
+  };
+  const uint64_t after_open = source->reads();
+  read_everything();  // Cold: one ReadAt per chunk, then hits.
+  EXPECT_EQ(source->reads() - after_open, reader->rowgroup_count());
+  const uint64_t after_cold = source->reads();
+  read_everything();  // Warm.
+  EXPECT_EQ(source->reads(), after_cold);
+  EXPECT_EQ(cache.TotalStats().misses, reader->rowgroup_count());
+  EXPECT_TRUE(cache.CheckInvariants());
+}
+
+TEST(SeekableCache, MemorySourceChunksAreVerifiedInPlace) {
+  // With views, even uncached chunks are checksummed and decoded where
+  // they lie: after Open reads the index region, no ReadAt is made.
+  const Corpus& corpus = TwoRowgroups();
+  auto source = std::make_shared<CountingSource>(corpus.buffer, /*views=*/true);
+  DecodedVectorCache cache(0);
+  SeekableReaderOptions options;
+  options.cache = &cache;
+  auto reader = OpenSeekable(source, options);
+  ASSERT_NE(reader, nullptr);
+  const uint64_t after_open = source->reads();
+  std::vector<double> out(reader->vector_count() * kVectorSize);
+  for (int pass = 0; pass < 2; ++pass) {
+    ASSERT_TRUE(reader->TryDecodeAll(out.data()).ok());
+    EXPECT_EQ(std::memcmp(out.data(), corpus.values.data(),
+                          corpus.values.size() * sizeof(double)),
+              0);
+  }
+  EXPECT_EQ(source->reads(), after_open);
+}
+
+TEST(SeekableFaults, ChunkReadFiresOnEveryMiss) {
+  FaultGuard guard;
+  const Corpus& corpus = TwoRowgroups();
+  fault::FaultSpec count_only;
+  count_only.stall_only = true;  // Fires (and counts) without failing.
+  for (size_t capacity : {size_t{0}, size_t{64} << 20}) {
+    SCOPED_TRACE("capacity=" + std::to_string(capacity));
+    DecodedVectorCache cache(capacity);
+    SeekableReaderOptions options;
+    options.cache = &cache;
+    auto reader = OpenSeekable(
+        std::make_shared<MemorySource>(corpus.buffer.data(), corpus.buffer.size()),
+        options);
+    ASSERT_NE(reader, nullptr);
+    const uint64_t rowgroups = reader->rowgroup_count();
+    std::vector<double> out(reader->vector_count() * kVectorSize);
+    fault::Arm("io.chunk_read", count_only);
+    ASSERT_TRUE(reader->TryDecodeAll(out.data()).ok());
+    EXPECT_EQ(fault::InjectedCount("io.chunk_read"), rowgroups);
+    ASSERT_TRUE(reader->TryDecodeAll(out.data()).ok());
+    // Uncached, every touch is a miss; cached, the warm pass has none.
+    EXPECT_EQ(fault::InjectedCount("io.chunk_read"),
+              capacity == 0 ? 2 * rowgroups : rowgroups);
+    if (capacity > 0) {
+      EXPECT_EQ(cache.TotalStats().misses, rowgroups);
+    }
+    fault::Disarm("io.chunk_read");
+  }
+}
+
+TEST(SeekableCache, SameBudgetHoldsFiveTimesMoreCityTempValues) {
+  // The budget counts compressed chunk bytes. A cache of decoded vectors
+  // held at most budget / sizeof(double) values; City-Temp chunks must
+  // hold at least five times that in the same budget.
+  const size_t budget = size_t{1} << 20;
+  const size_t n = 16 * kRowgroupSize;
+  const std::vector<double> values =
+      data::Generate(*data::FindDataset("City-Temp"), n);
+  const std::vector<uint8_t> buffer = CompressColumn(values.data(), n);
+  DecodedVectorCache cache(budget, 1);
+  SeekableReaderOptions options;
+  options.cache = &cache;
+  auto reader = OpenSeekable(
+      std::make_shared<MemorySource>(buffer.data(), buffer.size()), options);
+  ASSERT_NE(reader, nullptr);
+  std::vector<double> out(n);
+  ASSERT_TRUE(reader->TryDecodeAll(out.data()).ok());
+  ASSERT_EQ(std::memcmp(out.data(), values.data(), n * sizeof(double)), 0);
+
+  uint64_t held = 0;
+  for (const DecodedVectorCache::Key& key : cache.ShardKeysMruFirst(0)) {
+    held += reader->RowgroupValueCount(key.rowgroup);
+  }
+  EXPECT_LE(cache.TotalStats().bytes, budget);
+  EXPECT_TRUE(cache.CheckInvariants());
+  EXPECT_GE(held, 5 * (budget / sizeof(double)))
+      << "chunk bytes " << ChunkBytes(*reader, 0, buffer.size());
+}
+
+// ---------------------------------------------------------------------------
 // Out-of-core proof: a column larger than the scanning process's address
 // budget, written rowgroup-at-a-time, scanned chunk-at-a-time.
 //
@@ -1156,7 +1334,7 @@ TEST(LargeFile, ScanByteIdentical) {
   // PreadSource on purpose: mmap would charge the whole file against the
   // CI job's `ulimit -v` budget, defeating the out-of-core point. Peak
   // memory here is the index region + the prefetch window of chunks + the
-  // decoded-vector cache budget.
+  // chunk cache budget.
   auto source = PreadSource::Open(path);
   ASSERT_TRUE(source.ok()) << source.status().ToString();
 

@@ -330,6 +330,37 @@ TEST(Server, ScanReturnsByteIdenticalValues) {
   }
 }
 
+TEST(Server, ScanWithoutValuesStreamsTheSameChecksum) {
+  // A scan that does not return its values streams vector by vector; its
+  // checksum (first value of every vector, in vector order) and tuple count
+  // must carry the same bits as the path that decodes the whole column.
+  const auto values = ServingData(2 * kRowgroupSize + 3 * kVectorSize + 17);
+  double expect = 0.0;
+  for (size_t i = 0; i < values.size(); i += kVectorSize) expect += values[i];
+  for (size_t cache_bytes : {size_t{0}, size_t{4} << 20}) {
+    Server server({.workers = 2, .cache_bytes = cache_bytes});
+    ASSERT_TRUE(server.AddColumn("col", values.data(), values.size()).ok());
+    for (int repeat = 0; repeat < 2; ++repeat) {  // Cold, then warm.
+      Request returning;
+      returning.column = "col";
+      returning.query_class = QueryClass::kScan;
+      returning.return_values = true;
+      Request streaming = returning;
+      streaming.return_values = false;
+      const Response full = server.Execute(std::move(returning));
+      const Response streamed = server.Execute(std::move(streaming));
+      ASSERT_TRUE(full.status.ok()) << full.status.ToString();
+      ASSERT_TRUE(streamed.status.ok()) << streamed.status.ToString();
+      EXPECT_EQ(BitsOf(streamed.sum), BitsOf(full.sum));
+      EXPECT_EQ(BitsOf(streamed.sum), BitsOf(expect));
+      EXPECT_EQ(streamed.tuples, full.tuples);
+      EXPECT_EQ(streamed.tuples, values.size());
+      EXPECT_TRUE(streamed.values.empty());
+      EXPECT_EQ(full.values.size(), values.size());
+    }
+  }
+}
+
 TEST(Server, PointLookupReturnsTheExactVector) {
   const auto values = ServingData(5 * kVectorSize);
   Server server({.workers = 2});

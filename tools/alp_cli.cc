@@ -20,7 +20,7 @@
 //   alp datasets                                 list surrogate names
 //   alp [--threads=N] serve-bench <in.bin|in.csv> [--requests=N] [--queue=N]
 //                     [--catalog-bytes-limit=N]  serving-layer smoke benchmark
-//                                                (N bytes of decoded-vector
+//                                                (N compressed bytes of chunk
 //                                                cache shared by the catalog;
 //                                                0 = off)
 //                     [--slow-log=<path>] [--slow-us=N]  arm the per-request
