@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -24,11 +25,17 @@ Outcome Run(const std::vector<double>& data, bool with_delta) {
   alp::SamplerConfig config;
   config.try_delta_encoding = with_delta;
   const auto buffer = alp::CompressColumn(data.data(), data.size(), config);
-  alp::ColumnReader<double> reader(buffer.data(), buffer.size());
-  std::vector<double> out(data.size() + alp::kVectorSize);
+  const auto reader = alp::ColumnReader<double>::Open(buffer.data(), buffer.size());
+  if (!reader.ok()) {
+    std::fprintf(stderr, "cannot open own column: %s\n",
+                 reader.status().ToString().c_str());
+    std::exit(1);
+  }
+  std::vector<double> out(data.size());
 
+  // No context and no armed fault: after Open the decode cannot fail.
   const double cycles = alp::bench::MeasureCycles(
-      [&] { reader.DecodeAll(out.data()); }, 20'000'000);
+      [&] { (void)reader->TryDecodeAll(out.data()); }, 20'000'000);
   return {buffer.size() * 8.0 / data.size(),
           static_cast<double>(data.size()) / cycles};
 }

@@ -94,9 +94,19 @@ int main(int argc, char** argv) {
       const double comp = TuplesPerCycle(
           [&] { buffer = codec->Compress(data.data(), tuples); }, tuples, budget);
       std::vector<double> decoded(tuples);
+      bool decoded_ok = true;
       const double dec = TuplesPerCycle(
-          [&] { codec->Decompress(buffer.data(), buffer.size(), tuples, decoded.data()); },
+          [&] {
+            decoded_ok &=
+                codec->TryDecompress(buffer.data(), buffer.size(), tuples, decoded.data())
+                    .ok();
+          },
           tuples, budget);
+      if (!decoded_ok) {
+        std::fprintf(stderr, "%s cannot decode its own output\n",
+                     std::string(codec->name()).c_str());
+        return 1;
+      }
       totals[std::string(codec->name())].first += comp;
       totals[std::string(codec->name())].second += dec;
       const std::string scheme(codec->name());

@@ -18,7 +18,9 @@ double BitsPerValueOf(const std::vector<uint8_t>& buffer, size_t n) {
   return buffer.size() * 8.0 / static_cast<double>(n);
 }
 
-void Report(const char* name, const std::vector<double>& column) {
+/// Prints one column's comparison; returns false unless the cascade decodes
+/// its own buffer bit-exactly.
+bool Report(const char* name, const std::vector<double>& column) {
   const auto plain = alp::CompressColumn(column.data(), column.size());
   alp::CascadeStrategy strategy;
   const auto cascaded = alp::CascadeCompress(column.data(), column.size(), {}, &strategy);
@@ -30,7 +32,13 @@ void Report(const char* name, const std::vector<double>& column) {
 
   // Verify bit-exactness of the cascade.
   std::vector<double> restored(column.size());
-  alp::CascadeDecompress(cascaded, restored.data());
+  const alp::Status decoded =
+      alp::CascadeDecompress(cascaded, restored.data(), restored.size());
+  if (!decoded.ok()) {
+    std::printf("%-18s cannot decode the cascade: %s\n", name,
+                decoded.ToString().c_str());
+    return false;
+  }
   size_t mismatches = 0;
   for (size_t i = 0; i < column.size(); ++i) {
     mismatches += alp::BitsOf(restored[i]) != alp::BitsOf(column[i]);
@@ -39,6 +47,7 @@ void Report(const char* name, const std::vector<double>& column) {
   std::printf("%-18s ALP: %6.2f b/v | LWC+ALP (%s): %6.2f b/v | lossless: %s\n",
               name, BitsPerValueOf(plain, column.size()), strategy_name,
               BitsPerValueOf(cascaded, column.size()), mismatches == 0 ? "yes" : "NO");
+  return mismatches == 0;
 }
 
 }  // namespace
@@ -67,11 +76,11 @@ int main() {
   for (double& m : measurements) m = static_cast<double>(rng() % 100000000) / 1000.0;
 
   std::printf("column             compression (bits per value, raw = 64)\n");
-  Report("orders", orders);
-  Report("ledger", ledger);
-  Report("measurements", measurements);
+  bool lossless = Report("orders", orders);
+  lossless &= Report("ledger", ledger);
+  lossless &= Report("measurements", measurements);
 
   std::printf("\nThe cascade mirrors Table 4's LWC+ALP column: Dictionary or RLE in\n");
   std::printf("front of ALP on repetitive data, plain ALP elsewhere.\n");
-  return 0;
+  return lossless ? 0 : 1;
 }

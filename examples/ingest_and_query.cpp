@@ -11,6 +11,7 @@
 #include "alp/appender.h"
 #include "data/datasets.h"
 #include "engine/operators.h"
+#include "util/bits.h"
 
 int main() {
   // Simulate a day of tick ingest: 4M stock prices arriving in batches.
@@ -29,8 +30,24 @@ int main() {
               appender.compressed_bytes(), appender.info().rowgroups);
 
   const std::vector<uint8_t> buffer = appender.Finish();
-  std::printf("final column: %.2f bits/value\n\n",
+  std::printf("final column: %.2f bits/value\n",
               buffer.size() * 8.0 / static_cast<double>(kTicks));
+
+  // The finished column must open and decode back to the feed, bit for bit.
+  const auto reader = alp::ColumnReader<double>::Open(buffer.data(), buffer.size());
+  std::vector<double> restored(feed.size());
+  const alp::Status decoded =
+      reader.ok() ? reader->TryDecodeAll(restored.data()) : reader.status();
+  if (!decoded.ok()) {
+    std::printf("appended column does not decode: %s\n", decoded.ToString().c_str());
+    return 1;
+  }
+  size_t mismatches = 0;
+  for (size_t i = 0; i < feed.size(); ++i) {
+    mismatches += alp::BitsOf(restored[i]) != alp::BitsOf(feed[i]);
+  }
+  std::printf("round trip: %zu mismatches\n\n", mismatches);
+  if (mismatches != 0) return 1;
 
   // Wrap it for the engine (MakeAlp recompresses; here we reuse the bytes
   // by decoding through a reader-backed column).
@@ -57,5 +74,12 @@ int main() {
   std::printf("FILTER+SUM:  prices in [%.2f, %.2f] -> sum %.2f; push-down "
               "skipped %zu vectors\n",
               lo, max, filtered.sum, filtered.vectors_skipped);
+
+  for (const auto* result : {&scan, &sum, &minmax, &filtered}) {
+    if (!result->status.ok()) {
+      std::printf("query failed: %s\n", result->status.ToString().c_str());
+      return 1;
+    }
+  }
   return 0;
 }

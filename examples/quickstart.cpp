@@ -36,22 +36,38 @@ int main() {
               info.rowgroups_rd);
   std::printf("ALP exceptions:    %.2f per vector\n", info.ExceptionsPerVector());
 
-  // 3. Decompress everything and verify losslessness (bitwise).
-  std::vector<double> restored(prices.size());
-  alp::DecompressColumn(compressed, restored.data());
+  // 3. Open the column: the one validating parse (structure and checksums)
+  //    every buffer goes through, whether this process wrote it or not.
+  const auto reader =
+      alp::ColumnReader<double>::Open(compressed.data(), compressed.size());
+  if (!reader.ok()) {
+    std::printf("cannot open column: %s\n", reader.status().ToString().c_str());
+    return 1;
+  }
+
+  // 4. Decompress everything and verify losslessness (bitwise).
+  std::vector<double> restored(reader->value_count());
+  const alp::Status decoded = reader->TryDecodeAll(restored.data());
+  if (!decoded.ok()) {
+    std::printf("cannot decode column: %s\n", decoded.ToString().c_str());
+    return 1;
+  }
   size_t mismatches = 0;
   for (size_t i = 0; i < prices.size(); ++i) {
     mismatches += alp::BitsOf(restored[i]) != alp::BitsOf(prices[i]);
   }
   std::printf("bitwise mismatches after round-trip: %zu\n", mismatches);
 
-  // 4. Random access: decode only vector 42 (values 43008..44031). This is
+  // 5. Random access: decode only vector 42 (values 43008..44031). This is
   //    the capability block-based compressors like Zstd cannot offer.
-  alp::ColumnReader<double> reader(compressed.data(), compressed.size());
-  std::vector<double> one_vector(reader.VectorLength(42));
-  reader.DecodeVector(42, one_vector.data());
+  std::vector<double> one_vector(reader->VectorLength(42));
+  reader->DecodeVector(42, one_vector.data());
   std::printf("vector 42, first value: %.2f (expected %.2f)\n", one_vector[0],
               prices[42 * alp::kVectorSize]);
+  for (size_t i = 0; i < one_vector.size(); ++i) {
+    mismatches +=
+        alp::BitsOf(one_vector[i]) != alp::BitsOf(prices[42 * alp::kVectorSize + i]);
+  }
 
   return mismatches == 0 ? 0 : 1;
 }

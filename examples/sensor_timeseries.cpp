@@ -10,6 +10,7 @@
 
 #include "alp/alp.h"
 #include "data/datasets.h"
+#include "util/bits.h"
 #include "util/cycle_clock.h"
 
 int main() {
@@ -24,7 +25,13 @@ int main() {
               alp::BitsPerValue<double>(compressed, readings.size()),
               64.0 / alp::BitsPerValue<double>(compressed, readings.size()));
 
-  alp::ColumnReader<double> reader(compressed.data(), compressed.size());
+  const auto opened =
+      alp::ColumnReader<double>::Open(compressed.data(), compressed.size());
+  if (!opened.ok()) {
+    std::printf("cannot open column: %s\n", opened.status().ToString().c_str());
+    return 1;
+  }
+  const alp::ColumnReader<double>& reader = *opened;
 
   // Query: average pressure between 10:00 and 10:15 (rows [3.6M, 3.69M)).
   const size_t row_begin = 3'600'000;
@@ -35,6 +42,7 @@ int main() {
   const uint64_t start = alp::CycleNow();
   double sum = 0.0;
   size_t count = 0;
+  size_t mismatches = 0;
   std::vector<double> buffer(alp::kVectorSize);
   for (size_t v = vec_begin; v < vec_end; ++v) {
     reader.DecodeVector(v, buffer.data());  // Only these vectors are touched.
@@ -44,6 +52,7 @@ int main() {
     for (size_t i = lo; i < hi; ++i) {
       sum += buffer[i];
       ++count;
+      mismatches += alp::BitsOf(buffer[i]) != alp::BitsOf(readings[base + i]);
     }
   }
   const uint64_t cycles = alp::CycleNow() - start;
@@ -59,5 +68,9 @@ int main() {
   // Compare: a block-based compressor would have decompressed everything.
   std::printf("a 256KB-block compressor would decode >= %zu values for this query\n",
               (row_end - row_begin) == 0 ? 0 : ((row_end / 32768 + 1) * 32768));
+  if (mismatches != 0) {
+    std::printf("%zu decoded rows differ from the readings\n", mismatches);
+    return 1;
+  }
   return 0;
 }

@@ -7,9 +7,14 @@
 ///   #include "alp/alp.h"
 ///
 ///   std::vector<uint8_t> compressed = alp::CompressColumn(data, n);
-///   alp::ColumnReader<double> reader(compressed.data(), compressed.size());
-///   reader.DecodeVector(42, out);   // random access, vector granularity
-///   reader.DecodeAll(out);          // full decompression
+///   alp::StatusOr<alp::ColumnReader<double>> reader =
+///       alp::ColumnReader<double>::Open(compressed.data(), compressed.size());
+///   if (!reader.ok()) return reader.status();  // corrupt or foreign bytes
+///   reader->DecodeVector(42, out);            // random access, one vector
+///   alp::Status s = reader->TryDecodeAll(out);  // full decompression
+///
+/// Open is the one validating parse; after it, DecodeVector is the one
+/// decoder and cannot read out of bounds.
 ///
 /// Lower-level building blocks (per-vector encoder, sampler, ALP_rd,
 /// cascades) are exposed through the individual headers re-exported here.

@@ -1,6 +1,7 @@
 #include "alp/cascade.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
 
 #include "alp/column.h"
@@ -41,25 +42,39 @@ void WriteFforColumn(const uint64_t* values, size_t n, ByteBuffer* out) {
   }
 }
 
-std::vector<uint64_t> ReadFforColumn(ByteReader* reader) {
+/// Decodes a WriteFforColumn column that must hold exactly \p expect
+/// values, handing each 1024-value block to \p consume(values, len), which
+/// returns a Status. Widths and payload extents are checked before any
+/// block is unpacked, and nothing is sized from the stored count.
+template <typename Consume>
+Status ReadFforColumn(ByteReader* reader, uint64_t expect, Consume&& consume) {
+  const size_t at = reader->position();
   const uint64_t n = reader->Read<uint64_t>();
-  std::vector<uint64_t> values(n);
-  const size_t blocks = (n + kVectorSize - 1) / kVectorSize;
-  for (size_t b = 0; b < blocks; ++b) {
+  if (reader->failed()) return Status::Truncated("cascade FFOR column count", at);
+  if (n != expect) return Status::Corrupt("cascade FFOR column count mismatch", at);
+  const uint64_t blocks = (n + kVectorSize - 1) / kVectorSize;
+  for (uint64_t b = 0; b < blocks; ++b) {
+    const size_t block_at = reader->position();
     const uint8_t width = reader->Read<uint8_t>();
     reader->AlignTo(8);
     fastlanes::FforParams params;
     params.base = reader->Read<uint64_t>();
     params.width = width;
-    const uint64_t* packed = reinterpret_cast<const uint64_t*>(reader->Here());
+    if (reader->failed()) return Status::Truncated("cascade FFOR block header", block_at);
+    if (width > 64) return Status::Corrupt("cascade FFOR width out of range", block_at);
+    const size_t packed_bytes = size_t{width} * 16 * sizeof(uint64_t);
+    if (!reader->CanRead(packed_bytes)) {
+      return Status::Truncated("cascade FFOR block payload", block_at);
+    }
     int64_t block[kVectorSize];
-    fastlanes::FforDecode(packed, block, params);
-    reader->Skip(static_cast<size_t>(width) * 16 * sizeof(uint64_t));
-    const size_t off = b * kVectorSize;
-    const size_t len = std::min<size_t>(kVectorSize, n - off);
-    std::memcpy(values.data() + off, block, len * sizeof(uint64_t));
+    fastlanes::FforDecode(reinterpret_cast<const uint64_t*>(reader->Here()), block,
+                          params);
+    reader->Skip(packed_bytes);
+    const size_t len = std::min<uint64_t>(kVectorSize, n - b * kVectorSize);
+    Status s = consume(reinterpret_cast<const uint64_t*>(block), len);
+    if (!s.ok()) return s;
   }
-  return values;
+  return Status::Ok();
 }
 
 /// Appends a length-prefixed nested buffer.
@@ -69,10 +84,19 @@ void WriteNested(const std::vector<uint8_t>& nested, ByteBuffer* out) {
   out->AlignTo(8);
 }
 
-std::vector<uint8_t> ReadNested(ByteReader* reader) {
+/// Opens the length-prefixed nested ALP column at the reader's position in
+/// place (it starts 8-aligned) and moves the reader past it.
+StatusOr<ColumnReader<double>> OpenNested(ByteReader* reader) {
+  const size_t at = reader->position();
   const uint64_t size = reader->Read<uint64_t>();
-  std::vector<uint8_t> nested(size);
-  reader->ReadArray(nested.data(), size);
+  if (reader->failed()) return Status::Truncated("cascade nested column size", at);
+  if (size > reader->Remaining()) {
+    return Status::Truncated("cascade nested column", at);
+  }
+  StatusOr<ColumnReader<double>> nested =
+      ColumnReader<double>::Open(reader->Here(), size);
+  if (!nested.ok()) return nested.status();
+  reader->Skip(size);
   reader->AlignTo(8);
   return nested;
 }
@@ -133,42 +157,79 @@ std::vector<uint8_t> CascadeCompress(const double* data, size_t n,
   return out.Take();
 }
 
-size_t CascadeValueCount(const std::vector<uint8_t>& buffer) {
-  ByteReader reader(buffer.data(), buffer.size());
-  return reader.Read<CascadeHeader>().value_count;
-}
-
-void CascadeDecompress(const std::vector<uint8_t>& buffer, double* out) {
+StatusOr<size_t> CascadeValueCount(const std::vector<uint8_t>& buffer) {
   ByteReader reader(buffer.data(), buffer.size());
   const auto header = reader.Read<CascadeHeader>();
+  if (reader.failed()) return Status::Truncated("cascade header", 0);
+  return header.value_count;
+}
+
+Status CascadeDecompress(const std::vector<uint8_t>& buffer, double* out, size_t n) {
+  ByteReader reader(buffer.data(), buffer.size());
+  const auto header = reader.Read<CascadeHeader>();
+  if (reader.failed()) return Status::Truncated("cascade header", 0);
+  if (header.value_count != n) {
+    return Status::Corrupt("cascade value count does not match the request",
+                           offsetof(CascadeHeader, value_count));
+  }
   const auto strategy = static_cast<CascadeStrategy>(header.strategy);
 
   if (strategy == CascadeStrategy::kPlain) {
-    const auto nested = ReadNested(&reader);
-    DecompressColumn(nested, out);
-    return;
+    StatusOr<ColumnReader<double>> values = OpenNested(&reader);
+    if (!values.ok()) return values.status();
+    if (values->value_count() != n) {
+      return Status::Corrupt("cascade column count mismatch", sizeof(CascadeHeader));
+    }
+    return values->TryDecodeAll(out);
   }
 
   if (strategy == CascadeStrategy::kDictionary) {
-    const auto nested = ReadNested(&reader);
-    ColumnReader<double> dict_reader(nested.data(), nested.size());
-    std::vector<double> dictionary(dict_reader.value_count());
-    dict_reader.DecodeAll(dictionary.data());
-    const auto codes = ReadFforColumn(&reader);
-    for (size_t i = 0; i < codes.size(); ++i) out[i] = dictionary[codes[i]];
-    return;
+    StatusOr<ColumnReader<double>> dict = OpenNested(&reader);
+    if (!dict.ok()) return dict.status();
+    std::vector<double> dictionary(dict->value_count());
+    Status s = dict->TryDecodeAll(dictionary.data());
+    if (!s.ok()) return s;
+    size_t o = 0;
+    const size_t codes_at = reader.position();
+    return ReadFforColumn(&reader, n, [&](const uint64_t* codes, size_t len) {
+      for (size_t i = 0; i < len; ++i) {
+        if (codes[i] >= dictionary.size()) {
+          return Status::Corrupt("cascade dictionary code out of range", codes_at);
+        }
+        out[o++] = dictionary[codes[i]];
+      }
+      return Status::Ok();
+    });
   }
 
-  // RLE.
-  const auto nested = ReadNested(&reader);
-  ColumnReader<double> values_reader(nested.data(), nested.size());
-  std::vector<double> run_values(values_reader.value_count());
-  values_reader.DecodeAll(run_values.data());
-  const auto lengths = ReadFforColumn(&reader);
-  size_t o = 0;
-  for (size_t r = 0; r < run_values.size(); ++r) {
-    for (uint64_t i = 0; i < lengths[r]; ++i) out[o++] = run_values[r];
+  if (strategy == CascadeStrategy::kRle) {
+    StatusOr<ColumnReader<double>> runs = OpenNested(&reader);
+    if (!runs.ok()) return runs.status();
+    std::vector<double> run_values(runs->value_count());
+    Status s = runs->TryDecodeAll(run_values.data());
+    if (!s.ok()) return s;
+    size_t o = 0;
+    size_t r = 0;
+    const size_t lengths_at = reader.position();
+    s = ReadFforColumn(&reader, run_values.size(),
+                       [&](const uint64_t* lengths, size_t len) {
+      for (size_t i = 0; i < len; ++i, ++r) {
+        if (lengths[i] > n - o) {
+          return Status::Corrupt("cascade runs exceed the value count", lengths_at);
+        }
+        std::fill_n(out + o, lengths[i], run_values[r]);
+        o += lengths[i];
+      }
+      return Status::Ok();
+    });
+    if (!s.ok()) return s;
+    if (o != n) {
+      return Status::Corrupt("cascade runs fall short of the value count", lengths_at);
+    }
+    return Status::Ok();
   }
+
+  return Status::Corrupt("unknown cascade strategy", offsetof(CascadeHeader, strategy));
 }
 
 }  // namespace alp

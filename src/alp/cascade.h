@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "alp/sampler.h"
+#include "util/status.h"
 
 /// \file cascade.h
 /// LWC+ALP cascading compression (paper Section 4.1, "When ALP struggles",
@@ -42,12 +43,14 @@ std::vector<uint8_t> CascadeCompress(const double* data, size_t n,
                                      const CascadeConfig& config = {},
                                      CascadeStrategy* used = nullptr);
 
-/// Decompresses a CascadeCompress buffer into \p out (value count is
-/// embedded; use CascadeValueCount to size the output).
-void CascadeDecompress(const std::vector<uint8_t>& buffer, double* out);
+/// The cascade's one decoder, safe on untrusted buffers: decodes exactly
+/// \p n values (use CascadeValueCount to size \p out) and returns OK, or
+/// returns a non-OK Status for a buffer that is truncated, corrupt or holds
+/// a different count. Never reads past the buffer or writes past out + n.
+Status CascadeDecompress(const std::vector<uint8_t>& buffer, double* out, size_t n);
 
-/// Logical value count stored in a cascade buffer.
-size_t CascadeValueCount(const std::vector<uint8_t>& buffer);
+/// Logical value count stored in a cascade buffer's header.
+StatusOr<size_t> CascadeValueCount(const std::vector<uint8_t>& buffer);
 
 }  // namespace alp
 

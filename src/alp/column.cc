@@ -467,485 +467,6 @@ std::vector<uint8_t> CompressColumnParallel(const T* data, size_t n,
   return CompressColumnImpl(data, n, config, info, pool);
 }
 
-template <typename T>
-ColumnReader<T>::ColumnReader(const uint8_t* data, size_t size)
-    : data_(data), size_(size) {
-  ByteReader reader(data, size);
-  const auto header = reader.Read<ColumnHeader>();
-  if (reader.failed() || header.magic != kMagic || header.type != TypeTag<T>() ||
-      header.version < kMinVersion || header.version > kVersion) {
-    return;  // ok_ stays false; the reader is empty.
-  }
-  // Reject value counts whose vector math would wrap; also caps the
-  // vector_count_-sized allocations below on garbage headers.
-  if (header.value_count > (uint64_t{1} << 62)) return;
-  version_ = header.version;
-  value_count_ = header.value_count;
-  vector_count_ = (value_count_ + kVectorSize - 1) / kVectorSize;
-
-  // Check that all index sections fit before sizing any allocation by the
-  // (still untrusted) counts — a forged rowgroup_count must not turn into
-  // a multi-gigabyte resize.
-  const IndexLayout layout =
-      ComputeIndexLayout(version_, header.rowgroup_count, vector_count_);
-  if (layout.payload_begin > size) {
-    value_count_ = 0;
-    vector_count_ = 0;
-    return;
-  }
-
-  std::vector<uint64_t> rg_offsets(header.rowgroup_count);
-  reader.SeekTo(layout.offsets_at);
-  reader.ReadArray(rg_offsets.data(), rg_offsets.size());
-  stats_.resize(vector_count_);
-  reader.SeekTo(layout.stats_at);
-  reader.ReadArray(stats_.data(), stats_.size());
-
-  size_t first_vector = 0;
-  rowgroups_.reserve(header.rowgroup_count);
-  for (uint64_t rg_offset : rg_offsets) {
-    RowgroupInfo info;
-    info.byte_offset = rg_offset;
-    reader.SeekTo(rg_offset);
-    const auto rg_header = reader.Read<RowgroupHeader>();
-    if (reader.failed() || rg_header.vector_count > kRowgroupVectors) {
-      value_count_ = 0;
-      vector_count_ = 0;
-      rowgroups_.clear();
-      stats_.clear();
-      return;
-    }
-    info.scheme = static_cast<Scheme>(rg_header.scheme);
-    info.vector_count = rg_header.vector_count;
-    info.first_vector = first_vector;
-    first_vector += rg_header.vector_count;
-    if (info.scheme == Scheme::kAlpRd) {
-      const auto rd_header = reader.Read<RdHeader>();
-      info.rd.right_bits = rd_header.right_bits;
-      info.rd.dict_width = rd_header.dict_width;
-      info.rd.dict_size = rd_header.dict_size;
-      std::memcpy(info.rd.dict, rd_header.dict, sizeof(info.rd.dict));
-      RdDictShifted(info.rd, info.rd_dict_shifted);
-    }
-    info.vector_offsets.resize(rg_header.vector_count);
-    reader.ReadArray(info.vector_offsets.data(), info.vector_offsets.size());
-    rowgroups_.push_back(std::move(info));
-  }
-  ok_ = reader.ok();
-  if (!ok_) {
-    value_count_ = 0;
-    vector_count_ = 0;
-    rowgroups_.clear();
-    stats_.clear();
-  }
-}
-
-template <typename T>
-StatusOr<ColumnReader<T>> ColumnReader<T>::Open(const uint8_t* data, size_t size) {
-  return OpenParallel(data, size, nullptr);
-}
-
-template <typename T>
-StatusOr<ColumnReader<T>> ColumnReader<T>::OpenParallel(const uint8_t* data,
-                                                        size_t size,
-                                                        ThreadPool* pool) {
-  Status s = ValidateColumnParallelEx<T>(data, size, pool);
-  if (!s.ok()) return s;
-  ColumnReader<T> reader(data, size);
-  if (!reader.ok()) {
-    // Validation passed but parsing did not — should be unreachable; treat
-    // it as corruption rather than returning a half-built reader.
-    return Status::Corrupt("column index parse failed after validation");
-  }
-  return reader;
-}
-
-template <typename T>
-unsigned ColumnReader<T>::VectorLength(size_t v) const {
-  const size_t begin = v * kVectorSize;
-  return static_cast<unsigned>(std::min<size_t>(kVectorSize, value_count_ - begin));
-}
-
-template <typename T>
-Scheme ColumnReader<T>::VectorScheme(size_t v) const {
-  return rowgroups_[v / kRowgroupVectors].scheme;
-}
-
-template <typename T>
-void ColumnReader<T>::DecodeAlpVector(const RowgroupInfo& rg, size_t local_v,
-                                      T* out) const {
-  using Uint = typename AlpTraits<T>::Uint;
-  ByteReader reader(data_, size_);
-  reader.SeekTo(rg.byte_offset + rg.vector_offsets[local_v]);
-  const auto header = reader.Read<AlpVectorHeader>();
-
-  const Uint* packed = reinterpret_cast<const Uint*>(reader.Here());
-  const Combination c{header.e, header.f};
-
-  const auto decode_full = [&](T* dst) {
-    if (header.int_encoding == kIntDelta) {
-      if constexpr (sizeof(T) == 8) {
-        // Delta path: unpack + prefix sum, then the ALP_dec multiplies.
-        fastlanes::DeltaParams delta;
-        delta.first = static_cast<int64_t>(header.base);
-        delta.width = header.width;
-        int64_t ints[kVectorSize];
-        fastlanes::DeltaDecode(packed, ints, delta);
-        alp::DecodeVector<T>(ints, c, dst);
-      }
-      return;
-    }
-    fastlanes::FforParams ffor;
-    ffor.base = header.base;
-    ffor.width = header.width;
-    kernels::DecodeAlpFused<T>(packed, ffor, c, dst);
-  };
-
-  if (header.n == kVectorSize) {
-    decode_full(out);
-  } else {
-    alignas(64) T full[kVectorSize];
-    decode_full(full);
-    std::memcpy(out, full, header.n * sizeof(T));
-  }
-
-  reader.Skip(static_cast<size_t>(header.width) * fastlanes::kLanes<Uint> * sizeof(Uint));
-  // Exceptions: value bits array followed by position array (stack
-  // buffers; this is the per-vector hot path).
-  Uint exc_bits[kVectorSize];
-  uint16_t exc_pos[kVectorSize];
-  reader.ReadArray(exc_bits, header.exc_count);
-  reader.ReadArray(exc_pos, header.exc_count);
-  kernels::PatchExceptionBits<T>(out, exc_bits, exc_pos, header.exc_count);
-}
-
-template <typename T>
-void ColumnReader<T>::DecodeRdVector(const RowgroupInfo& rg, size_t local_v,
-                                     T* out) const {
-  using Uint = typename AlpTraits<T>::Uint;
-  constexpr unsigned kLanes = fastlanes::kLanes<Uint>;
-  ByteReader reader(data_, size_);
-  reader.SeekTo(rg.byte_offset + rg.vector_offsets[local_v]);
-  const auto header = reader.Read<RdVectorHeader>();
-
-  const Uint* packed_right = reinterpret_cast<const Uint*>(reader.Here());
-  reader.Skip(static_cast<size_t>(rg.rd.right_bits) * kLanes * sizeof(Uint));
-  const Uint* packed_codes = reinterpret_cast<const Uint*>(reader.Here());
-  reader.Skip(static_cast<size_t>(rg.rd.dict_width) * kLanes * sizeof(Uint));
-
-  uint16_t exceptions[kVectorSize];
-  uint16_t exc_positions[kVectorSize];
-  reader.ReadArray(exceptions, header.exc_count);
-  reader.ReadArray(exc_positions, header.exc_count);
-
-  // Fused unpack-right || unpack-codes || dictionary-OR through the
-  // dispatched kernel tier, then the (rare) left-part exception patches.
-  const auto decode_full = [&](T* dst) {
-    kernels::RdDecodeFused<T>(packed_right, packed_codes, rg.rd.right_bits,
-                              rg.rd.dict_width, rg.rd_dict_shifted, dst);
-    RdPatchExceptions(dst, exceptions, exc_positions, header.exc_count,
-                      rg.rd.right_bits);
-  };
-
-  if (header.n == kVectorSize) {
-    decode_full(out);
-  } else {
-    alignas(64) T full[kVectorSize];
-    decode_full(full);
-    std::memcpy(out, full, header.n * sizeof(T));
-  }
-}
-
-template <typename T>
-uint16_t ColumnReader<T>::VectorExceptionCount(size_t v) const {
-  if (v >= vector_count_) return 0;
-  const RowgroupInfo& rg = rowgroups_[v / kRowgroupVectors];
-  const size_t local_v = v - rg.first_vector;
-  const size_t vec_at = rg.byte_offset + rg.vector_offsets[local_v];
-  const size_t header_size = rg.scheme == Scheme::kAlp
-                                 ? sizeof(AlpVectorHeader)
-                                 : sizeof(RdVectorHeader);
-  if (vec_at + header_size > size_) return 0;
-  ByteReader reader(data_, size_);
-  reader.SeekTo(vec_at);
-  return rg.scheme == Scheme::kAlp ? reader.Read<AlpVectorHeader>().exc_count
-                                   : reader.Read<RdVectorHeader>().exc_count;
-}
-
-template <typename T>
-bool ColumnReader<T>::GetPackedVectorView(size_t v, PackedVectorView* view) const {
-  using Uint = typename AlpTraits<T>::Uint;
-  if (v >= vector_count_) return false;
-  const RowgroupInfo& rg = rowgroups_[v / kRowgroupVectors];
-  if (rg.scheme != Scheme::kAlp) return false;
-  const size_t local_v = v - rg.first_vector;
-  const size_t vec_at = rg.byte_offset + rg.vector_offsets[local_v];
-  if (vec_at + sizeof(AlpVectorHeader) > size_) return false;
-  ByteReader reader(data_, size_);
-  reader.SeekTo(vec_at);
-  const auto header = reader.Read<AlpVectorHeader>();
-  if (header.int_encoding != kIntFfor) return false;  // Delta: no lane frame
-  if (header.width > sizeof(Uint) * 8 || header.n > kVectorSize ||
-      header.exc_count > header.n ||
-      header.e > AlpTraits<T>::kMaxExponent || header.f > header.e) {
-    return false;
-  }
-  const size_t packed_bytes =
-      static_cast<size_t>(header.width) * fastlanes::kLanes<Uint> * sizeof(Uint);
-  const size_t exc_bytes =
-      static_cast<size_t>(header.exc_count) * (sizeof(Uint) + sizeof(uint16_t));
-  if (vec_at + sizeof(AlpVectorHeader) + packed_bytes + exc_bytes > size_) {
-    return false;
-  }
-  view->packed = reinterpret_cast<const Uint*>(reader.Here());
-  reader.Skip(packed_bytes);
-  view->exc_bits = reinterpret_cast<const Uint*>(reader.Here());
-  reader.Skip(static_cast<size_t>(header.exc_count) * sizeof(Uint));
-  view->exc_positions = reinterpret_cast<const uint16_t*>(reader.Here());
-  view->ffor.base = header.base;
-  view->ffor.width = header.width;
-  view->c = Combination{header.e, header.f};
-  view->n = header.n;
-  view->exc_count = header.exc_count;
-  return true;
-}
-
-template <typename T>
-void ColumnReader<T>::DecodeVector(size_t v, T* out) const {
-  const RowgroupInfo& rg = rowgroups_[v / kRowgroupVectors];
-  const size_t local_v = v - rg.first_vector;
-  if (rg.scheme == Scheme::kAlp) {
-    DecodeAlpVector(rg, local_v, out);
-  } else {
-    DecodeRdVector(rg, local_v, out);
-  }
-}
-
-template <typename T>
-void ColumnReader<T>::DecodeAll(T* out) const {
-  ALP_OBS_SPAN(decode_span, "decompress.column", value_count_);
-  for (size_t v = 0; v < vector_count_; ++v) {
-    DecodeVector(v, out + v * kVectorSize);
-  }
-}
-
-template <typename T>
-Status ColumnReader<T>::TryDecodeAlpVector(const RowgroupInfo& rg, size_t local_v,
-                                           unsigned expect_n, T* out) const {
-  using Uint = typename AlpTraits<T>::Uint;
-  constexpr unsigned kLanes = fastlanes::kLanes<Uint>;
-  const size_t vec_at = rg.byte_offset + rg.vector_offsets[local_v];
-  if (vec_at > size_ || vec_at < rg.byte_offset) {
-    return Status::Corrupt("vector offset out of bounds", rg.byte_offset);
-  }
-
-  ByteReader reader(data_, size_);
-  reader.SeekTo(vec_at);
-  const auto header = reader.Read<AlpVectorHeader>();
-  if (reader.failed()) return Status::Truncated("ALP vector header", vec_at);
-  if (header.e > AlpTraits<T>::kMaxExponent || header.f > header.e) {
-    return Status::Corrupt("ALP exponent/factor out of range", vec_at);
-  }
-  if (header.width > AlpTraits<T>::kValueBits) {
-    return Status::Corrupt("ALP packed width out of range", vec_at);
-  }
-  if (header.int_encoding > kIntDelta ||
-      (header.int_encoding == kIntDelta && sizeof(T) != 8)) {
-    return Status::Corrupt("unknown ALP integer encoding", vec_at);
-  }
-  if (header.n != expect_n || header.exc_count > header.n) {
-    return Status::Corrupt("ALP vector counts out of range", vec_at);
-  }
-
-  const size_t packed_bytes = size_t{header.width} * kLanes * sizeof(Uint);
-  const size_t exc_bytes =
-      size_t{header.exc_count} * (sizeof(Uint) + sizeof(uint16_t));
-  if (!reader.CanRead(packed_bytes + exc_bytes)) {
-    return Status::Truncated("ALP vector payload", vec_at);
-  }
-  const Uint* packed = reinterpret_cast<const Uint*>(reader.Here());
-  reader.Skip(packed_bytes);
-
-  const Combination c{header.e, header.f};
-  alignas(64) T full[kVectorSize];
-  if (header.int_encoding == kIntDelta) {
-    if constexpr (sizeof(T) == 8) {
-      fastlanes::DeltaParams delta;
-      delta.first = static_cast<int64_t>(header.base);
-      delta.width = header.width;
-      int64_t ints[kVectorSize];
-      fastlanes::DeltaDecode(packed, ints, delta);
-      alp::DecodeVector<T>(ints, c, full);
-    }
-  } else {
-    fastlanes::FforParams ffor;
-    ffor.base = header.base;
-    ffor.width = header.width;
-    kernels::DecodeAlpFused<T>(packed, ffor, c, full);
-  }
-
-  Uint exc_bits[kVectorSize];
-  uint16_t exc_pos[kVectorSize];
-  reader.ReadArray(exc_bits, header.exc_count);
-  reader.ReadArray(exc_pos, header.exc_count);
-  for (unsigned i = 0; i < header.exc_count; ++i) {
-    if (exc_pos[i] >= header.n) {
-      return Status::Corrupt("ALP exception position out of range", vec_at);
-    }
-  }
-  kernels::PatchExceptionBits<T>(full, exc_bits, exc_pos, header.exc_count);
-  std::memcpy(out, full, expect_n * sizeof(T));
-  return Status::Ok();
-}
-
-template <typename T>
-Status ColumnReader<T>::TryDecodeRdVector(const RowgroupInfo& rg, size_t local_v,
-                                          unsigned expect_n, T* out) const {
-  using Uint = typename AlpTraits<T>::Uint;
-  constexpr unsigned kLanes = fastlanes::kLanes<Uint>;
-  const size_t vec_at = rg.byte_offset + rg.vector_offsets[local_v];
-  if (vec_at > size_ || vec_at < rg.byte_offset) {
-    return Status::Corrupt("vector offset out of bounds", rg.byte_offset);
-  }
-
-  // Re-check the rowgroup parameters the decode arithmetic depends on:
-  // left << right_bits and dict[code] are only safe inside these ranges.
-  if (rg.rd.right_bits < AlpTraits<T>::kValueBits - kRdMaxLeftBits ||
-      rg.rd.right_bits >= AlpTraits<T>::kValueBits) {
-    return Status::Corrupt("ALP_rd cut position out of range", rg.byte_offset);
-  }
-  if (rg.rd.dict_width > kRdMaxDictWidth || rg.rd.dict_size > kRdMaxDictSize) {
-    return Status::Corrupt("ALP_rd dictionary too big", rg.byte_offset);
-  }
-
-  ByteReader reader(data_, size_);
-  reader.SeekTo(vec_at);
-  const auto header = reader.Read<RdVectorHeader>();
-  if (reader.failed()) return Status::Truncated("ALP_rd vector header", vec_at);
-  if (header.n != expect_n || header.exc_count > header.n) {
-    return Status::Corrupt("ALP_rd vector counts out of range", vec_at);
-  }
-
-  const size_t packed_bytes =
-      (size_t{rg.rd.right_bits} + rg.rd.dict_width) * kLanes * sizeof(Uint);
-  const size_t exc_bytes = size_t{header.exc_count} * 2 * sizeof(uint16_t);
-  if (!reader.CanRead(packed_bytes + exc_bytes)) {
-    return Status::Truncated("ALP_rd vector payload", vec_at);
-  }
-
-  const Uint* packed_right = reinterpret_cast<const Uint*>(reader.Here());
-  reader.Skip(size_t{rg.rd.right_bits} * kLanes * sizeof(Uint));
-  const Uint* packed_codes = reinterpret_cast<const Uint*>(reader.Here());
-  reader.Skip(size_t{rg.rd.dict_width} * kLanes * sizeof(Uint));
-
-  uint16_t exceptions[kVectorSize];
-  uint16_t exc_positions[kVectorSize];
-  reader.ReadArray(exceptions, header.exc_count);
-  reader.ReadArray(exc_positions, header.exc_count);
-  for (unsigned i = 0; i < header.exc_count; ++i) {
-    if (exc_positions[i] >= header.n) {
-      return Status::Corrupt("ALP_rd exception position out of range", vec_at);
-    }
-  }
-
-  alignas(64) T full[kVectorSize];
-  kernels::RdDecodeFused<T>(packed_right, packed_codes, rg.rd.right_bits,
-                            rg.rd.dict_width, rg.rd_dict_shifted, full);
-  RdPatchExceptions(full, exceptions, exc_positions, header.exc_count,
-                    rg.rd.right_bits);
-  std::memcpy(out, full, expect_n * sizeof(T));
-  return Status::Ok();
-}
-
-template <typename T>
-Status ColumnReader<T>::TryDecodeVector(size_t v, T* out,
-                                        const OpContext* ctx) const {
-  if (!ok_) return Status::Corrupt("column reader not initialized");
-  if (ctx != nullptr) {
-    Status cs = ctx->Check();
-    if (!cs.ok()) return cs;
-  }
-  ALP_FAULT("column.decode_vector");
-  if (v >= vector_count_) {
-    return Status::Corrupt("vector index out of range");
-  }
-  const size_t rg_index = v / kRowgroupVectors;
-  if (rg_index >= rowgroups_.size()) {
-    return Status::Corrupt("rowgroup index out of range");
-  }
-  const RowgroupInfo& rg = rowgroups_[rg_index];
-  const size_t local_v = v - rg.first_vector;
-  if (local_v >= rg.vector_offsets.size()) {
-    return Status::Corrupt("vector missing from rowgroup index", rg.byte_offset);
-  }
-  const unsigned expect_n = VectorLength(v);
-  if (rg.scheme == Scheme::kAlp) {
-    return TryDecodeAlpVector(rg, local_v, expect_n, out);
-  }
-  if (rg.scheme == Scheme::kAlpRd) {
-    return TryDecodeRdVector(rg, local_v, expect_n, out);
-  }
-  return Status::Corrupt("unknown rowgroup scheme", rg.byte_offset);
-}
-
-template <typename T>
-Status ColumnReader<T>::TryDecodeAll(T* out, const OpContext* ctx) const {
-  if (!ok_) return Status::Corrupt("column reader not initialized");
-  ALP_OBS_SPAN(decode_span, "decompress.column", value_count_);
-  for (size_t v = 0; v < vector_count_; ++v) {
-    T vec[kVectorSize];
-    Status s = TryDecodeVector(v, vec, ctx);
-    if (!s.ok()) return s;
-    std::memcpy(out + v * kVectorSize, vec, VectorLength(v) * sizeof(T));
-  }
-  return Status::Ok();
-}
-
-template <typename T>
-Status ColumnReader<T>::TryDecodeAllParallel(T* out, ThreadPool* pool,
-                                             const OpContext* ctx) const {
-  if (!ok_) return Status::Corrupt("column reader not initialized");
-  // Partition by rowgroup-sized blocks of *global vector indexes* — the
-  // exact ranges the serial loop walks — so each task writes a disjoint
-  // region of out and hits the same per-vector Statuses the serial scan
-  // would. A task stops at its block's first failure; the lowest-indexed
-  // block's Status wins, which is the Status TryDecodeAll returns.
-  const size_t blocks = (vector_count_ + kRowgroupVectors - 1) / kRowgroupVectors;
-  std::vector<Status> results(blocks);
-  ParallelFor(pool, blocks, [&](size_t b) {
-    const size_t v_begin = b * kRowgroupVectors;
-    const size_t v_end =
-        std::min<size_t>((b + 1) * kRowgroupVectors, vector_count_);
-    ALP_OBS_SPAN(rg_span, "decompress.rowgroup",
-                 std::min<size_t>(v_end * kVectorSize, value_count_) -
-                     v_begin * kVectorSize);
-    ALP_OBS_ONLY({
-      const int worker = ThreadPool::CurrentWorkerIndex();
-      if (worker >= 0) {
-        static obs::Histogram& by_worker =
-            obs::MetricRegistry::Global().GetHistogram(
-                "decompress.rowgroups_by_worker",
-                {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
-                "worker");
-        by_worker.Record(static_cast<uint64_t>(worker));
-      }
-    });
-    for (size_t v = v_begin; v < v_end; ++v) {
-      T vec[kVectorSize];
-      Status s = TryDecodeVector(v, vec, ctx);
-      if (!s.ok()) {
-        results[b] = std::move(s);
-        return;
-      }
-      std::memcpy(out + v * kVectorSize, vec, VectorLength(v) * sizeof(T));
-    }
-  });
-  for (Status& s : results) {
-    if (!s.ok()) return std::move(s);
-  }
-  return Status::Ok();
-}
-
 namespace {
 
 /// Everything the per-rowgroup validation phases need, parsed and verified
@@ -1072,146 +593,248 @@ Status ValidateZoneMap(const uint8_t* data, const ValidationContext& ctx) {
   return Status::Ok();
 }
 
-/// Phase 4 (per rowgroup): full structural walk of one rowgroup — scheme,
-/// vector count, ALP_rd parameters, vector offset index, per-vector header
-/// invariants, payload extents and exception positions. Independent of
-/// every other rowgroup: the vectors a rowgroup must hold follow from its
-/// index alone (rowgroup rg owns global vectors [rg*kRowgroupVectors, ...)),
-/// which is what makes the walk safe to fan out.
+}  // namespace
+
+namespace internal {
+
+/// The one validating parse. Every ColumnReader is built here, and the
+/// structural walk below is the only code that reads rowgroup, ALP_rd and
+/// vector headers from the bytes; what it checks it records.
 template <typename T>
-Status ValidateRowgroupStructure(const uint8_t* data, size_t size,
-                                 const ValidationContext& ctx, size_t rg) {
-  const size_t off = static_cast<size_t>(ctx.rg_offsets[rg]);
-  RowgroupHeader rg_header;
-  std::memcpy(&rg_header, data + off, sizeof(rg_header));
-  if (rg_header.scheme > 1) return Status::Corrupt("unknown rowgroup scheme", off);
+struct ColumnParser {
+  using Reader = ColumnReader<T>;
+  using RowgroupInfo = typename Reader::RowgroupInfo;
 
-  // Each rowgroup must hold exactly its share of the column's vectors.
-  const size_t first_vector = rg * kRowgroupVectors;
-  const size_t expected_vectors =
-      std::min<size_t>(kRowgroupVectors, ctx.total_vectors - first_vector);
-  if (rg_header.vector_count != expected_vectors) {
-    return Status::Corrupt("rowgroup vector count inconsistent with value count",
-                           off);
+  /// Structural walk of one rowgroup — scheme, vector count, ALP_rd
+  /// parameters, vector offset index, per-vector header invariants,
+  /// payload extents and exception positions — filling \p info and the
+  /// rowgroup's vector records (\p records[0, vector_count)). Independent
+  /// of every other rowgroup: the vectors a rowgroup must hold follow from
+  /// its index alone (rowgroup rg owns global vectors [rg*kRowgroupVectors,
+  /// ...)), which is what makes the walk safe to fan out.
+  static Status WalkRowgroup(const uint8_t* data, size_t size,
+                             const ValidationContext& ctx, size_t rg,
+                             RowgroupInfo* info, VectorRecord* records) {
+    const size_t off = static_cast<size_t>(ctx.rg_offsets[rg]);
+    RowgroupHeader rg_header;
+    std::memcpy(&rg_header, data + off, sizeof(rg_header));
+    if (rg_header.scheme > 1) return Status::Corrupt("unknown rowgroup scheme", off);
+
+    // Each rowgroup must hold exactly its share of the column's vectors.
+    const size_t first_vector = rg * kRowgroupVectors;
+    const size_t expected_vectors =
+        std::min<size_t>(kRowgroupVectors, ctx.total_vectors - first_vector);
+    if (rg_header.vector_count != expected_vectors) {
+      return Status::Corrupt("rowgroup vector count inconsistent with value count",
+                             off);
+    }
+    info->byte_offset = off;
+    info->scheme = static_cast<Scheme>(rg_header.scheme);
+    info->first_vector = first_vector;
+    info->vector_count = rg_header.vector_count;
+
+    size_t index_at = off + sizeof(RowgroupHeader);
+    RdHeader rd{};
+    if (info->scheme == Scheme::kAlpRd) {
+      if (size - index_at < sizeof(RdHeader)) {
+        return Status::Truncated("truncated ALP_rd header", index_at);
+      }
+      std::memcpy(&rd, data + index_at, sizeof(rd));
+      // The encoder cuts at most kRdMaxLeftBits from the top, so
+      // right_bits lies in [48, 64) for doubles and [16, 32) for floats;
+      // anything else makes the glue shift in the decode undefined.
+      if (rd.right_bits < AlpTraits<T>::kValueBits - kRdMaxLeftBits ||
+          rd.right_bits >= AlpTraits<T>::kValueBits) {
+        return Status::Corrupt("ALP_rd cut position out of range", index_at);
+      }
+      if (rd.dict_size > kRdMaxDictSize || rd.dict_width > kRdMaxDictWidth) {
+        return Status::Corrupt("ALP_rd dictionary too big", index_at);
+      }
+      info->rd.right_bits = rd.right_bits;
+      info->rd.dict_width = rd.dict_width;
+      info->rd.dict_size = rd.dict_size;
+      std::memcpy(info->rd.dict, rd.dict, sizeof(info->rd.dict));
+      RdDictShifted(info->rd, info->rd_dict_shifted);
+      index_at += sizeof(RdHeader);
+    }
+    if (size - index_at < size_t{rg_header.vector_count} * sizeof(uint32_t)) {
+      return Status::Truncated("truncated vector offset index", index_at);
+    }
+
+    uint32_t prev_vec_off = 0;
+    for (uint32_t v = 0; v < rg_header.vector_count; ++v) {
+      uint32_t vec_off;
+      std::memcpy(&vec_off, data + index_at + v * sizeof(uint32_t), sizeof(vec_off));
+      if (vec_off % 8 != 0) {
+        return Status::Corrupt("misaligned vector offset",
+                               index_at + v * sizeof(uint32_t));
+      }
+      if (v > 0 && vec_off <= prev_vec_off) {
+        return Status::Corrupt("vector offsets not increasing",
+                               index_at + v * sizeof(uint32_t));
+      }
+      prev_vec_off = vec_off;
+      const size_t vec_at = off + vec_off;
+      if (vec_at >= size || size - vec_at < 16) {
+        return Status::Corrupt("vector offset out of bounds",
+                               index_at + v * sizeof(uint32_t));
+      }
+
+      const size_t global_v = first_vector + v;
+      const size_t expected_n = std::min<size_t>(
+          kVectorSize, ctx.header.value_count - global_v * kVectorSize);
+
+      // Verify the full payload extent of the vector (each packed width
+      // unit occupies 128 bytes for both lane types), then the exception
+      // positions, which index the decode output array.
+      VectorRecord& rec = records[v];
+      rec.offset = vec_at;
+      size_t exc_pos_at;
+      if (info->scheme == Scheme::kAlp) {
+        AlpVectorHeader vh;
+        std::memcpy(&vh, data + vec_at, sizeof(vh));
+        if (vh.e > AlpTraits<T>::kMaxExponent || vh.f > vh.e) {
+          return Status::Corrupt("ALP exponent/factor out of range", vec_at);
+        }
+        if (vh.width > AlpTraits<T>::kValueBits) {
+          return Status::Corrupt("packed width out of range", vec_at);
+        }
+        if (vh.int_encoding > kIntDelta ||
+            (vh.int_encoding == kIntDelta && sizeof(T) != 8)) {
+          return Status::Corrupt("unknown integer encoding", vec_at);
+        }
+        if (vh.n != expected_n || vh.exc_count > vh.n) {
+          return Status::Corrupt("vector counts out of range", vec_at);
+        }
+        rec.n = vh.n;
+        rec.exc_count = vh.exc_count;
+        rec.width = vh.width;
+        rec.e = vh.e;
+        rec.f = vh.f;
+        rec.int_encoding = vh.int_encoding;
+        rec.base = vh.base;
+        exc_pos_at = vec_at + sizeof(AlpVectorHeader) + size_t{vh.width} * 128 +
+                     size_t{vh.exc_count} * sizeof(T);
+      } else {
+        RdVectorHeader vh;
+        std::memcpy(&vh, data + vec_at, sizeof(vh));
+        if (vh.n != expected_n || vh.exc_count > vh.n) {
+          return Status::Corrupt("vector counts out of range", vec_at);
+        }
+        rec.n = vh.n;
+        rec.exc_count = vh.exc_count;
+        exc_pos_at = vec_at + sizeof(RdVectorHeader) +
+                     (size_t{rd.right_bits} + rd.dict_width) * 128 +
+                     size_t{vh.exc_count} * sizeof(uint16_t);
+      }
+      const size_t end = exc_pos_at + size_t{rec.exc_count} * sizeof(uint16_t);
+      if (end > size) return Status::Truncated("vector payload truncated", vec_at);
+      for (uint16_t i = 0; i < rec.exc_count; ++i) {
+        uint16_t pos;
+        std::memcpy(&pos, data + exc_pos_at + i * sizeof(uint16_t), sizeof(pos));
+        if (pos >= expected_n) {
+          return Status::Corrupt("exception position out of range",
+                                 exc_pos_at + i * sizeof(uint16_t));
+        }
+      }
+    }
+    return Status::Ok();
   }
 
-  size_t index_at = off + sizeof(RowgroupHeader);
-  RdHeader rd{};
-  if (rg_header.scheme == static_cast<uint8_t>(Scheme::kAlpRd)) {
-    if (size - index_at < sizeof(RdHeader)) {
-      return Status::Truncated("truncated ALP_rd header", index_at);
+  /// Parses a whole column into \p out. The per-rowgroup phases run through
+  /// \p pool (inline when null). Phase order — checksums for all rowgroups,
+  /// then zone map, then the structural walk for all rowgroups — is fixed,
+  /// and within a phase the lowest-indexed rowgroup's failure is reported,
+  /// so serial and parallel return identical Statuses.
+  static Status Parse(const uint8_t* data, size_t size, ThreadPool* pool,
+                      const OpContext* octx, Reader* out) {
+    ValidationContext ctx;
+    Status s = ValidateHeaderAndIndex<T>(data, size, &ctx);
+    if (!s.ok()) return s;
+
+    // Cancellation checkpoints: once per rowgroup per phase (a rowgroup is
+    // the unit of work here, hundreds of microseconds). The checkpoint
+    // result shares the per-phase lowest-rowgroup-wins reduction with real
+    // failures.
+    const size_t rowgroups = ctx.rg_offsets.size();
+    if (ctx.header.version >= 3) {
+      s = RunPhase(pool, rowgroups, octx, [&](size_t rg) {
+        ALP_OBS_SPAN(checksum_span, "decompress.validate_checksum", 1);
+        Status fs = fault::Check("column.validate_checksum");
+        return fs.ok() ? ValidateRowgroupChecksum(data, size, ctx, rg) : fs;
+      });
+      if (!s.ok()) return s;
     }
-    std::memcpy(&rd, data + index_at, sizeof(rd));
-    // The encoder cuts at most kRdMaxLeftBits from the top, so
-    // right_bits lies in [48, 64) for doubles and [16, 32) for floats;
-    // anything else makes the glue shift in RdDecodeVector undefined.
-    if (rd.right_bits < AlpTraits<T>::kValueBits - kRdMaxLeftBits ||
-        rd.right_bits >= AlpTraits<T>::kValueBits) {
-      return Status::Corrupt("ALP_rd cut position out of range", index_at);
+
+    s = ValidateZoneMap(data, ctx);
+    if (!s.ok()) return s;
+
+    out->rowgroups_.resize(rowgroups);
+    out->vectors_.resize(ctx.total_vectors);
+    s = RunPhase(pool, rowgroups, octx, [&](size_t rg) {
+      ALP_OBS_SPAN(structure_span, "decompress.validate_structure", 1);
+      return WalkRowgroup(data, size, ctx, rg, &out->rowgroups_[rg],
+                          out->vectors_.data() + rg * kRowgroupVectors);
+    });
+    if (!s.ok()) return s;
+
+    out->data_ = data;
+    out->size_ = size;
+    out->value_count_ = ctx.header.value_count;
+    out->vector_count_ = ctx.total_vectors;
+    out->version_ = ctx.header.version;
+    out->stats_.resize(ctx.total_vectors);
+    if (!out->stats_.empty()) {
+      std::memcpy(out->stats_.data(), data + ctx.layout.stats_at,
+                  out->stats_.size() * sizeof(VectorStats));
     }
-    if (rd.dict_size > kRdMaxDictSize || rd.dict_width > kRdMaxDictWidth) {
-      return Status::Corrupt("ALP_rd dictionary too big", index_at);
-    }
-    index_at += sizeof(RdHeader);
+    return Status::Ok();
   }
-  if (size - index_at < size_t{rg_header.vector_count} * sizeof(uint32_t)) {
-    return Status::Truncated("truncated vector offset index", index_at);
+
+  /// Parses a standalone rowgroup chunk: rowgroup 0 of a one-rowgroup
+  /// column starting at offset 0 (the payload format is position
+  /// independent, so the walk applies unchanged with chunk offsets).
+  static Status ParseChunk(const uint8_t* chunk, size_t chunk_size,
+                           uint64_t value_count, Reader* out) {
+    if (chunk == nullptr || chunk_size < sizeof(RowgroupHeader)) {
+      return Status::Truncated("chunk smaller than the rowgroup header");
+    }
+    if (value_count == 0 || value_count > kRowgroupSize) {
+      return Status::Corrupt("rowgroup value count out of range");
+    }
+    ValidationContext ctx;
+    ctx.header = ColumnHeader{};
+    ctx.header.value_count = value_count;
+    ctx.total_vectors = (value_count + kVectorSize - 1) / kVectorSize;
+    ctx.rg_offsets.assign(1, 0);
+    out->rowgroups_.resize(1);
+    out->vectors_.resize(ctx.total_vectors);
+    Status s = WalkRowgroup(chunk, chunk_size, ctx, 0, &out->rowgroups_[0],
+                            out->vectors_.data());
+    if (!s.ok()) return s;
+    out->data_ = chunk;
+    out->size_ = chunk_size;
+    out->value_count_ = value_count;
+    out->vector_count_ = ctx.total_vectors;
+    out->version_ = kColumnFormatVersion;
+    return Status::Ok();
   }
 
-  uint32_t prev_vec_off = 0;
-  for (uint32_t v = 0; v < rg_header.vector_count; ++v) {
-    uint32_t vec_off;
-    std::memcpy(&vec_off, data + index_at + v * sizeof(uint32_t), sizeof(vec_off));
-    if (vec_off % 8 != 0) {
-      return Status::Corrupt("misaligned vector offset",
-                             index_at + v * sizeof(uint32_t));
-    }
-    if (v > 0 && vec_off <= prev_vec_off) {
-      return Status::Corrupt("vector offsets not increasing",
-                             index_at + v * sizeof(uint32_t));
-    }
-    prev_vec_off = vec_off;
-    const size_t vec_at = off + vec_off;
-    if (vec_at >= size || size - vec_at < 16) {
-      return Status::Corrupt("vector offset out of bounds",
-                             index_at + v * sizeof(uint32_t));
-    }
-
-    const size_t global_v = first_vector + v;
-    const size_t expected_n = std::min<size_t>(
-        kVectorSize, ctx.header.value_count - global_v * kVectorSize);
-
-    // Verify the full payload extent of the vector (each packed width
-    // unit occupies 128 bytes for both lane types), then the exception
-    // positions, which index the decode output array.
-    size_t end;
-    uint16_t exc_count;
-    size_t exc_pos_at;
-    if (rg_header.scheme == static_cast<uint8_t>(Scheme::kAlp)) {
-      AlpVectorHeader vh;
-      std::memcpy(&vh, data + vec_at, sizeof(vh));
-      if (vh.e > AlpTraits<T>::kMaxExponent || vh.f > vh.e) {
-        return Status::Corrupt("ALP exponent/factor out of range", vec_at);
-      }
-      if (vh.width > AlpTraits<T>::kValueBits) {
-        return Status::Corrupt("packed width out of range", vec_at);
-      }
-      if (vh.int_encoding > kIntDelta ||
-          (vh.int_encoding == kIntDelta && sizeof(T) != 8)) {
-        return Status::Corrupt("unknown integer encoding", vec_at);
-      }
-      if (vh.n != expected_n || vh.exc_count > vh.n) {
-        return Status::Corrupt("vector counts out of range", vec_at);
-      }
-      exc_count = vh.exc_count;
-      exc_pos_at = vec_at + sizeof(AlpVectorHeader) + size_t{vh.width} * 128 +
-                   size_t{vh.exc_count} * sizeof(T);
-      end = exc_pos_at + size_t{vh.exc_count} * sizeof(uint16_t);
-    } else {
-      RdVectorHeader vh;
-      std::memcpy(&vh, data + vec_at, sizeof(vh));
-      if (vh.n != expected_n || vh.exc_count > vh.n) {
-        return Status::Corrupt("vector counts out of range", vec_at);
-      }
-      exc_count = vh.exc_count;
-      exc_pos_at = vec_at + sizeof(RdVectorHeader) +
-                   (size_t{rd.right_bits} + rd.dict_width) * 128 +
-                   size_t{vh.exc_count} * sizeof(uint16_t);
-      end = exc_pos_at + size_t{vh.exc_count} * sizeof(uint16_t);
-    }
-    if (end > size) return Status::Truncated("vector payload truncated", vec_at);
-    for (uint16_t i = 0; i < exc_count; ++i) {
-      uint16_t pos;
-      std::memcpy(&pos, data + exc_pos_at + i * sizeof(uint16_t), sizeof(pos));
-      if (pos >= expected_n) {
-        return Status::Corrupt("exception position out of range",
-                               exc_pos_at + i * sizeof(uint16_t));
-      }
-    }
+  /// Parse for callers that want only the verdict.
+  static Status Validate(const uint8_t* data, size_t size, ThreadPool* pool,
+                         const OpContext* octx) {
+    Reader scratch;
+    return Parse(data, size, pool, octx, &scratch);
   }
-  return Status::Ok();
-}
 
-/// Shared validation driver. The per-rowgroup phases run through \p pool
-/// (inline when null). Phase order — checksums for all rowgroups, then zone
-/// map, then structure for all rowgroups — matches the historical serial
-/// validator, and within a phase the lowest-indexed rowgroup's failure is
-/// reported, so serial and parallel return identical Statuses.
-template <typename T>
-Status ValidateColumnImpl(const uint8_t* data, size_t size, ThreadPool* pool,
-                          const OpContext* octx) {
-  ValidationContext ctx;
-  Status s = ValidateHeaderAndIndex<T>(data, size, &ctx);
-  if (!s.ok()) return s;
-
-  // Cancellation checkpoints: once per rowgroup per phase (a rowgroup is
-  // the unit of work here, hundreds of microseconds). The checkpoint result
-  // shares the per-phase lowest-rowgroup-wins reduction with real failures.
-  const size_t rowgroups = ctx.rg_offsets.size();
-  if (ctx.header.version >= 3) {
+ private:
+  /// Runs \p check(rg) for every rowgroup on \p pool, polling \p octx first,
+  /// and returns the lowest-indexed rowgroup's failure.
+  template <typename Check>
+  static Status RunPhase(ThreadPool* pool, size_t rowgroups, const OpContext* octx,
+                         Check&& check) {
     std::vector<Status> results(rowgroups);
     ParallelFor(pool, rowgroups, [&](size_t rg) {
-      ALP_OBS_SPAN(checksum_span, "decompress.validate_checksum", 1);
       if (octx != nullptr) {
         Status cs = octx->Check();
         if (!cs.ok()) {
@@ -1219,48 +842,27 @@ Status ValidateColumnImpl(const uint8_t* data, size_t size, ThreadPool* pool,
           return;
         }
       }
-      Status fs = fault::Check("column.validate_checksum");
-      results[rg] = fs.ok() ? ValidateRowgroupChecksum(data, size, ctx, rg)
-                            : std::move(fs);
+      results[rg] = check(rg);
     });
     for (Status& r : results) {
       if (!r.ok()) return std::move(r);
     }
+    return Status::Ok();
   }
+};
 
-  s = ValidateZoneMap(data, ctx);
-  if (!s.ok()) return s;
-
-  std::vector<Status> results(rowgroups);
-  ParallelFor(pool, rowgroups, [&](size_t rg) {
-    ALP_OBS_SPAN(structure_span, "decompress.validate_structure", 1);
-    if (octx != nullptr) {
-      Status cs = octx->Check();
-      if (!cs.ok()) {
-        results[rg] = std::move(cs);
-        return;
-      }
-    }
-    results[rg] = ValidateRowgroupStructure<T>(data, size, ctx, rg);
-  });
-  for (Status& r : results) {
-    if (!r.ok()) return std::move(r);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
+}  // namespace internal
 
 template <typename T>
 Status ValidateColumnEx(const uint8_t* data, size_t size,
                         const OpContext* ctx) {
-  return ValidateColumnImpl<T>(data, size, nullptr, ctx);
+  return internal::ColumnParser<T>::Validate(data, size, nullptr, ctx);
 }
 
 template <typename T>
 Status ValidateColumnParallelEx(const uint8_t* data, size_t size,
                                 ThreadPool* pool, const OpContext* ctx) {
-  return ValidateColumnImpl<T>(data, size, pool, ctx);
+  return internal::ColumnParser<T>::Validate(data, size, pool, ctx);
 }
 
 template <typename T>
@@ -1275,62 +877,226 @@ bool ValidateColumn(const uint8_t* data, size_t size, std::string* reason) {
 }
 
 template <typename T>
-void DecompressColumn(const std::vector<uint8_t>& buffer, T* out) {
-  ColumnReader<T> reader(buffer.data(), buffer.size());
-  reader.DecodeAll(out);
+Status DecompressColumn(const std::vector<uint8_t>& buffer, T* out) {
+  StatusOr<ColumnReader<T>> reader = ColumnReader<T>::Open(buffer.data(), buffer.size());
+  if (!reader.ok()) return reader.status();
+  return reader->TryDecodeAll(out);
+}
+
+// ---------------------------------------------------------------------------
+// ColumnReader
+// ---------------------------------------------------------------------------
+
+template <typename T>
+StatusOr<ColumnReader<T>> ColumnReader<T>::Open(const uint8_t* data, size_t size) {
+  return OpenParallel(data, size, nullptr);
+}
+
+template <typename T>
+StatusOr<ColumnReader<T>> ColumnReader<T>::OpenParallel(const uint8_t* data,
+                                                        size_t size,
+                                                        ThreadPool* pool) {
+  ColumnReader<T> reader;
+  Status s = internal::ColumnParser<T>::Parse(data, size, pool, nullptr, &reader);
+  if (!s.ok()) return s;
+  return reader;
 }
 
 template <typename T>
 StatusOr<ColumnReader<T>> ColumnReader<T>::OpenRowgroupChunk(
     const uint8_t* chunk, size_t chunk_size, uint64_t value_count) {
-  if (chunk == nullptr || chunk_size < sizeof(RowgroupHeader)) {
-    return Status::Truncated("chunk smaller than the rowgroup header");
-  }
-  if (value_count == 0 || value_count > kRowgroupSize) {
-    return Status::Corrupt("rowgroup value count out of range");
-  }
-  // A chunk is rowgroup 0 of a one-rowgroup column starting at offset 0 —
-  // the payload format is position-independent, so the full structural walk
-  // applies unchanged with chunk-relative offsets.
-  ValidationContext ctx;
-  ctx.header = ColumnHeader{};
-  ctx.header.value_count = value_count;
-  ctx.total_vectors = (value_count + kVectorSize - 1) / kVectorSize;
-  ctx.rg_offsets.assign(1, 0);
-  Status s = ValidateRowgroupStructure<T>(chunk, chunk_size, ctx, 0);
-  if (!s.ok()) return s;
-
   ColumnReader<T> reader;
-  reader.data_ = chunk;
-  reader.size_ = chunk_size;
-  reader.value_count_ = value_count;
-  reader.vector_count_ = ctx.total_vectors;
-  reader.version_ = kColumnFormatVersion;
-
-  RowgroupHeader rg_header;
-  std::memcpy(&rg_header, chunk, sizeof(rg_header));
-  RowgroupInfo info;
-  info.byte_offset = 0;
-  info.scheme = static_cast<Scheme>(rg_header.scheme);
-  info.vector_count = rg_header.vector_count;
-  info.first_vector = 0;
-  size_t index_at = sizeof(RowgroupHeader);
-  if (info.scheme == Scheme::kAlpRd) {
-    RdHeader rd_header;
-    std::memcpy(&rd_header, chunk + index_at, sizeof(rd_header));
-    info.rd.right_bits = rd_header.right_bits;
-    info.rd.dict_width = rd_header.dict_width;
-    info.rd.dict_size = rd_header.dict_size;
-    std::memcpy(info.rd.dict, rd_header.dict, sizeof(info.rd.dict));
-    RdDictShifted(info.rd, info.rd_dict_shifted);
-    index_at += sizeof(RdHeader);
-  }
-  info.vector_offsets.resize(rg_header.vector_count);
-  std::memcpy(info.vector_offsets.data(), chunk + index_at,
-              info.vector_offsets.size() * sizeof(uint32_t));
-  reader.rowgroups_.push_back(std::move(info));
-  reader.ok_ = true;
+  Status s = internal::ColumnParser<T>::ParseChunk(chunk, chunk_size, value_count,
+                                                   &reader);
+  if (!s.ok()) return s;
   return reader;
+}
+
+template <typename T>
+unsigned ColumnReader<T>::VectorLength(size_t v) const {
+  const size_t begin = v * kVectorSize;
+  return static_cast<unsigned>(std::min<size_t>(kVectorSize, value_count_ - begin));
+}
+
+template <typename T>
+Scheme ColumnReader<T>::VectorScheme(size_t v) const {
+  return rowgroups_[v / kRowgroupVectors].scheme;
+}
+
+template <typename T>
+void ColumnReader<T>::DecodeAlpVector(const internal::VectorRecord& rec, T* out) const {
+  using Uint = typename AlpTraits<T>::Uint;
+  const uint8_t* at = data_ + rec.offset + sizeof(AlpVectorHeader);
+  const Uint* packed = reinterpret_cast<const Uint*>(at);
+  const Combination c{rec.e, rec.f};
+
+  const auto decode_full = [&](T* dst) {
+    if (rec.int_encoding == kIntDelta) {
+      if constexpr (sizeof(T) == 8) {
+        // Delta path: unpack + prefix sum, then the ALP_dec multiplies.
+        fastlanes::DeltaParams delta;
+        delta.first = static_cast<int64_t>(rec.base);
+        delta.width = rec.width;
+        int64_t ints[kVectorSize];
+        fastlanes::DeltaDecode(packed, ints, delta);
+        alp::DecodeVector<T>(ints, c, dst);
+      }
+      return;
+    }
+    fastlanes::FforParams ffor;
+    ffor.base = rec.base;
+    ffor.width = rec.width;
+    kernels::DecodeAlpFused<T>(packed, ffor, c, dst);
+  };
+
+  // Full vectors decode straight into out; only a column's short tail
+  // vector is staged, because out holds just its n values.
+  if (rec.n == kVectorSize) {
+    decode_full(out);
+  } else {
+    alignas(64) T full[kVectorSize];
+    decode_full(full);
+    std::memcpy(out, full, rec.n * sizeof(T));
+  }
+
+  // Exceptions: value bits array followed by position array.
+  const uint8_t* exc_at = at + size_t{rec.width} * 128;
+  kernels::PatchExceptionBits<T>(
+      out, reinterpret_cast<const Uint*>(exc_at),
+      reinterpret_cast<const uint16_t*>(exc_at + size_t{rec.exc_count} * sizeof(Uint)),
+      rec.exc_count);
+}
+
+template <typename T>
+void ColumnReader<T>::DecodeRdVector(const RowgroupInfo& rg,
+                                     const internal::VectorRecord& rec, T* out) const {
+  using Uint = typename AlpTraits<T>::Uint;
+  const uint8_t* at = data_ + rec.offset + sizeof(RdVectorHeader);
+  const Uint* packed_right = reinterpret_cast<const Uint*>(at);
+  at += size_t{rg.rd.right_bits} * 128;
+  const Uint* packed_codes = reinterpret_cast<const Uint*>(at);
+  at += size_t{rg.rd.dict_width} * 128;
+  const uint16_t* exceptions = reinterpret_cast<const uint16_t*>(at);
+  const uint16_t* exc_positions = exceptions + rec.exc_count;
+
+  // Fused unpack-right || unpack-codes || dictionary-OR through the
+  // dispatched kernel tier, then the (rare) left-part exception patches.
+  const auto decode_full = [&](T* dst) {
+    kernels::RdDecodeFused<T>(packed_right, packed_codes, rg.rd.right_bits,
+                              rg.rd.dict_width, rg.rd_dict_shifted, dst);
+  };
+  if (rec.n == kVectorSize) {
+    decode_full(out);
+  } else {
+    alignas(64) T full[kVectorSize];
+    decode_full(full);
+    std::memcpy(out, full, rec.n * sizeof(T));
+  }
+  RdPatchExceptions(out, exceptions, exc_positions, rec.exc_count, rg.rd.right_bits);
+}
+
+template <typename T>
+uint16_t ColumnReader<T>::VectorExceptionCount(size_t v) const {
+  return v < vector_count_ ? vectors_[v].exc_count : 0;
+}
+
+template <typename T>
+bool ColumnReader<T>::GetPackedVectorView(size_t v, PackedVectorView* view) const {
+  using Uint = typename AlpTraits<T>::Uint;
+  if (v >= vector_count_) return false;
+  const internal::VectorRecord& rec = vectors_[v];
+  if (VectorScheme(v) != Scheme::kAlp || rec.int_encoding != kIntFfor) {
+    return false;  // ALP_rd and Delta have no lane frame.
+  }
+  const uint8_t* at = data_ + rec.offset + sizeof(AlpVectorHeader);
+  view->packed = reinterpret_cast<const Uint*>(at);
+  at += size_t{rec.width} * 128;
+  view->exc_bits = reinterpret_cast<const Uint*>(at);
+  view->exc_positions =
+      reinterpret_cast<const uint16_t*>(at + size_t{rec.exc_count} * sizeof(Uint));
+  view->ffor.base = rec.base;
+  view->ffor.width = rec.width;
+  view->c = Combination{rec.e, rec.f};
+  view->n = rec.n;
+  view->exc_count = rec.exc_count;
+  return true;
+}
+
+template <typename T>
+void ColumnReader<T>::DecodeVector(size_t v, T* out) const {
+  const RowgroupInfo& rg = rowgroups_[v / kRowgroupVectors];
+  if (rg.scheme == Scheme::kAlp) {
+    DecodeAlpVector(vectors_[v], out);
+  } else {
+    DecodeRdVector(rg, vectors_[v], out);
+  }
+}
+
+template <typename T>
+Status ColumnReader<T>::TryDecodeVector(size_t v, T* out,
+                                        const OpContext* ctx) const {
+  if (ctx != nullptr) {
+    Status cs = ctx->Check();
+    if (!cs.ok()) return cs;
+  }
+  ALP_FAULT("column.decode_vector");
+  if (v >= vector_count_) {
+    return Status::Corrupt("vector index out of range");
+  }
+  DecodeVector(v, out);
+  return Status::Ok();
+}
+
+template <typename T>
+Status ColumnReader<T>::TryDecodeAll(T* out, const OpContext* ctx) const {
+  ALP_OBS_SPAN(decode_span, "decompress.column", value_count_);
+  for (size_t v = 0; v < vector_count_; ++v) {
+    Status s = TryDecodeVector(v, out + v * kVectorSize, ctx);
+    if (!s.ok()) return s;
+  }
+  return Status::Ok();
+}
+
+template <typename T>
+Status ColumnReader<T>::TryDecodeAllParallel(T* out, ThreadPool* pool,
+                                             const OpContext* ctx) const {
+  // Partition by rowgroup-sized blocks of *global vector indexes* — the
+  // exact ranges the serial loop walks — so each task writes a disjoint
+  // region of out and hits the same per-vector Statuses the serial scan
+  // would. A task stops at its block's first failure; the lowest-indexed
+  // block's Status wins, which is the Status TryDecodeAll returns.
+  const size_t blocks = (vector_count_ + kRowgroupVectors - 1) / kRowgroupVectors;
+  std::vector<Status> results(blocks);
+  ParallelFor(pool, blocks, [&](size_t b) {
+    const size_t v_begin = b * kRowgroupVectors;
+    const size_t v_end =
+        std::min<size_t>((b + 1) * kRowgroupVectors, vector_count_);
+    ALP_OBS_SPAN(rg_span, "decompress.rowgroup",
+                 std::min<size_t>(v_end * kVectorSize, value_count_) -
+                     v_begin * kVectorSize);
+    ALP_OBS_ONLY({
+      const int worker = ThreadPool::CurrentWorkerIndex();
+      if (worker >= 0) {
+        static obs::Histogram& by_worker =
+            obs::MetricRegistry::Global().GetHistogram(
+                "decompress.rowgroups_by_worker",
+                {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+                "worker");
+        by_worker.Record(static_cast<uint64_t>(worker));
+      }
+    });
+    for (size_t v = v_begin; v < v_end; ++v) {
+      Status s = TryDecodeVector(v, out + v * kVectorSize, ctx);
+      if (!s.ok()) {
+        results[b] = std::move(s);
+        return;
+      }
+    }
+  });
+  for (Status& s : results) {
+    if (!s.ok()) return std::move(s);
+  }
+  return Status::Ok();
 }
 
 namespace internal {
@@ -1497,7 +1263,9 @@ StatusOr<RowgroupMeta> ColumnMetaCursor<T>::Rowgroup(size_t rg) const {
   // its alignment pad. The 0-vector rowgroup of an empty column is all
   // header.
   meta.header_bytes =
-      info.vector_count > 0 ? info.vector_offsets[0] : meta.byte_extent;
+      info.vector_count > 0
+          ? reader_.vectors_[info.first_vector].offset - info.byte_offset
+          : meta.byte_extent;
   if (meta.header_bytes > meta.byte_extent) {
     return Status::Corrupt("rowgroup header overruns rowgroup extent",
                            info.byte_offset);
@@ -1518,57 +1286,43 @@ StatusOr<VectorMeta> ColumnMetaCursor<T>::Vector(size_t v) const {
   }
   const size_t rg = v / kRowgroupVectors;
   const auto& info = reader_.rowgroups_[rg];
+  const internal::VectorRecord& rec = reader_.vectors_[v];
   const size_t local_v = v - info.first_vector;
   const size_t rg_extent = RowgroupExtent(rg);
-  const uint32_t vec_off = info.vector_offsets[local_v];
+  const size_t vec_off = rec.offset - info.byte_offset;
   const size_t vec_end = local_v + 1 < info.vector_count
-                             ? info.vector_offsets[local_v + 1]
+                             ? reader_.vectors_[v + 1].offset - info.byte_offset
                              : rg_extent;
   if (vec_end < vec_off || vec_end > rg_extent) {
     return Status::Corrupt("vector offsets not ascending within rowgroup",
-                           info.byte_offset + vec_off);
+                           rec.offset);
   }
 
   VectorMeta meta;
   meta.index = v;
   meta.rowgroup = rg;
   meta.scheme = info.scheme;
-  meta.n = reader_.VectorLength(v);
-  meta.byte_offset = info.byte_offset + vec_off;
+  meta.n = rec.n;
+  meta.byte_offset = rec.offset;
   meta.byte_extent = vec_end - vec_off;
-
-  ByteReader reader(reader_.data_, reader_.size_);
-  reader.SeekTo(meta.byte_offset);
+  meta.exc_count = rec.exc_count;
   if (info.scheme == Scheme::kAlpRd) {
-    const auto header = reader.Read<RdVectorHeader>();
-    if (reader.failed()) {
-      return Status::Corrupt("vector header out of bounds", meta.byte_offset);
-    }
     meta.bit_width = static_cast<unsigned>(info.rd.right_bits) + info.rd.dict_width;
-    meta.exc_count = header.exc_count;
     meta.header_bytes = sizeof(RdVectorHeader);
-    meta.packed_bytes = static_cast<size_t>(meta.bit_width) *
-                        fastlanes::kLanes<Uint> * sizeof(Uint);
     // Exception left parts (u16) + positions (u16).
-    meta.exception_bytes = static_cast<size_t>(header.exc_count) * 4;
+    meta.exception_bytes = static_cast<size_t>(rec.exc_count) * 4;
   } else {
-    const auto header = reader.Read<AlpVectorHeader>();
-    if (reader.failed()) {
-      return Status::Corrupt("vector header out of bounds", meta.byte_offset);
-    }
-    meta.e = header.e;
-    meta.f = header.f;
-    meta.int_encoding = header.int_encoding;
-    meta.base = header.base;
-    meta.bit_width = header.width;
-    meta.exc_count = header.exc_count;
+    meta.e = rec.e;
+    meta.f = rec.f;
+    meta.int_encoding = rec.int_encoding;
+    meta.base = rec.base;
+    meta.bit_width = rec.width;
     meta.header_bytes = sizeof(AlpVectorHeader);
-    meta.packed_bytes = static_cast<size_t>(header.width) *
-                        fastlanes::kLanes<Uint> * sizeof(Uint);
     // Exception value bits (sizeof(T)) + positions (u16).
-    meta.exception_bytes =
-        static_cast<size_t>(header.exc_count) * (sizeof(T) + 2);
+    meta.exception_bytes = static_cast<size_t>(rec.exc_count) * (sizeof(T) + 2);
   }
+  meta.packed_bytes =
+      static_cast<size_t>(meta.bit_width) * fastlanes::kLanes<Uint> * sizeof(Uint);
 
   const size_t used = meta.header_bytes + meta.packed_bytes + meta.exception_bytes;
   if (used > meta.byte_extent) {
@@ -1633,7 +1387,7 @@ template Status ValidateColumnParallelEx<float>(const uint8_t*, size_t,
                                                 ThreadPool*, const OpContext*);
 template bool ValidateColumn<double>(const uint8_t*, size_t, std::string*);
 template bool ValidateColumn<float>(const uint8_t*, size_t, std::string*);
-template void DecompressColumn<double>(const std::vector<uint8_t>&, double*);
-template void DecompressColumn<float>(const std::vector<uint8_t>&, float*);
+template Status DecompressColumn<double>(const std::vector<uint8_t>&, double*);
+template Status DecompressColumn<float>(const std::vector<uint8_t>&, float*);
 
 }  // namespace alp

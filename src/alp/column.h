@@ -32,14 +32,18 @@
 ///   RD vector:  {exc_count, n} | packed right parts | packed left codes
 ///               | exception lefts | exception positions
 ///
-/// Untrusted input: buffers come from disk and the network, so the
-/// container offers two tiers of reading. The fallible tier —
-/// ColumnReader<T>::Open + TryDecodeVector/TryDecodeAll — validates
-/// structure and (v3) XXH64 checksums up front, never reads out of bounds
-/// even on adversarial bytes, and reports failures as a typed alp::Status.
-/// The trusted tier (constructor + DecodeVector/DecodeAll) skips per-vector
-/// re-validation for speed and is only for buffers this process produced or
-/// that already passed validation.
+/// Reading: one parse, one decode. Buffers come from disk and the network,
+/// so every reader is built by one validating parse — ColumnReader<T>::Open
+/// (or OpenParallel / OpenRowgroupChunk) — that checks structure and (v3)
+/// XXH64 checksums, never reads out of bounds even on adversarial bytes,
+/// and reports failures as a typed alp::Status. That walk is the only code
+/// that reads rowgroup and vector headers from the bytes: it records each
+/// vector's checked fields (offset, n, exception count, width, (e, f),
+/// integer encoding, base) in a 24-byte per-vector record. Every decode and
+/// metadata read afterwards works from those records, so there is exactly
+/// one decoder per scheme and it needs no further checks: DecodeVector is
+/// that decoder, and TryDecodeVector adds only a cancellation poll, a fault
+/// site and an index range check in front of it.
 ///
 /// Parallelism: rowgroups are fully independent on both sides of the
 /// pipeline, so CompressColumnParallel, ColumnReader::OpenParallel (parallel
@@ -121,14 +125,38 @@ std::vector<uint8_t> CompressColumnParallel(const T* data, size_t n,
 inline constexpr uint8_t kColumnFormatVersion = 3;     ///< v3: checksums.
 inline constexpr uint8_t kColumnFormatMinVersion = 2;  ///< v2: zone maps.
 
+namespace internal {
+
+/// The checked fields of one vector's header, recorded by the structural
+/// walk at Open. Decoders and metadata readers read these instead of the
+/// header bytes. ALP_rd vectors use only offset, n and exc_count.
+struct VectorRecord {
+  uint64_t offset = 0;       ///< Absolute offset of the vector header.
+  uint64_t base = 0;         ///< FOR base, or the first value under Delta.
+  uint16_t n = 0;            ///< Logical values in the vector.
+  uint16_t exc_count = 0;    ///< Exceptions patched after decode.
+  uint8_t width = 0;         ///< Packed FFOR/Delta bit width.
+  uint8_t e = 0;             ///< Exponent of the (e, f) combination.
+  uint8_t f = 0;             ///< Factor of the (e, f) combination.
+  uint8_t int_encoding = 0;  ///< 0 = FFOR, 1 = Delta (+ zig-zag).
+};
+static_assert(sizeof(VectorRecord) == 24);
+
+/// The one validating parse that builds a ColumnReader (column.cc).
+template <typename T>
+struct ColumnParser;
+
+}  // namespace internal
+
 /// Random-access reader over a compressed column buffer.
 template <typename T>
 class ColumnReader {
  public:
-  /// Fallible entry point for untrusted buffers: structural validation
-  /// (ValidateColumnEx) plus, for v3 buffers, header and rowgroup checksum
-  /// verification, then index parsing. v2 buffers are accepted with
-  /// checksum verification skipped. The buffer must outlive the reader.
+  /// The entry point for any buffer, trusted or not: one validating parse
+  /// (header and index, v3 header and rowgroup checksums, zone map, then
+  /// the structural walk that records every vector). v2 buffers are
+  /// accepted with checksum verification skipped. Accepts exactly the
+  /// buffers ValidateColumnEx accepts. The buffer must outlive the reader.
   static StatusOr<ColumnReader<T>> Open(const uint8_t* data, size_t size);
 
   /// Open with the rowgroup checksum + structure verification fanned out
@@ -138,18 +166,12 @@ class ColumnReader {
   static StatusOr<ColumnReader<T>> OpenParallel(const uint8_t* data, size_t size,
                                                 ThreadPool* pool = &ThreadPool::Shared());
 
-  /// Parses the header and indexes without validation; only for trusted
-  /// buffers (ones this process produced or that already passed
-  /// ValidateColumnEx). On a recognizably foreign buffer the reader comes
-  /// up empty (ok() == false) instead of crashing.
-  ColumnReader(const uint8_t* data, size_t size);
-
   /// Opens one standalone rowgroup payload chunk — the bytes between two
   /// consecutive rowgroup offsets of a column file — as a single-rowgroup
-  /// reader whose vectors are chunk-locally indexed from 0. Runs the same
-  /// structural walk ValidateColumnEx applies per rowgroup (scheme, vector
-  /// counts, ALP_rd parameters, offset index, per-vector extents and
-  /// exception positions), with Status offsets relative to the chunk.
+  /// reader whose vectors are chunk-locally indexed from 0. Runs the one
+  /// structural walk Open applies per rowgroup (scheme, vector counts,
+  /// ALP_rd parameters, offset index, per-vector extents and exception
+  /// positions), with Status offsets relative to the chunk.
   /// \p value_count is the logical values the rowgroup must hold (from the
   /// column header; at most kRowgroupSize). The chunk must outlive the
   /// reader. Chunk readers carry no zone map: Stats()/VectorMayContain are
@@ -158,9 +180,6 @@ class ColumnReader {
   static StatusOr<ColumnReader<T>> OpenRowgroupChunk(const uint8_t* chunk,
                                                      size_t chunk_size,
                                                      uint64_t value_count);
-
-  /// Whether header/index parsing succeeded.
-  bool ok() const { return ok_; }
 
   /// Format version of the parsed buffer (2 or 3).
   uint8_t format_version() const { return version_; }
@@ -186,9 +205,9 @@ class ColumnReader {
     return stats_[v].MayContain(lo, hi);
   }
 
-  /// Exceptions patched into vector \p v's decode, read from its header
-  /// without decoding any values (out of range or truncated headers read
-  /// as 0). Feeds the flight recorder's decode.exceptions counter.
+  /// Exceptions patched into vector \p v's decode, from its record (no
+  /// values are decoded; an out-of-range \p v reads as 0). Feeds the flight
+  /// recorder's decode.exceptions counter.
   uint16_t VectorExceptionCount(size_t v) const;
 
   /// Zero-copy view of one ALP+FFOR vector's compressed streams, for
@@ -207,28 +226,24 @@ class ColumnReader {
     uint16_t exc_count = 0;
   };
 
-  /// Fills \p view for vector \p v. Returns false — meaning the caller
-  /// must decode-then-filter — for ALP_rd rowgroups, Delta-encoded
-  /// vectors, invalid (e, f) headers, and any extent that would leave the
-  /// buffer (so it is safe on chunk readers too).
+  /// Fills \p view for vector \p v from its record. Returns false — meaning
+  /// the caller must decode-then-filter — for ALP_rd rowgroups,
+  /// Delta-encoded vectors and an out-of-range \p v.
   bool GetPackedVectorView(size_t v, PackedVectorView* view) const;
 
-  /// Decodes vector \p v into \p out (room for VectorLength(v) values).
-  /// Trusted path: no per-vector re-validation.
+  /// Decodes vector \p v into \p out (room for VectorLength(v) values; \p v
+  /// must be below vector_count()). Safe by construction: it reads only
+  /// fields the parse at Open checked, and writes full vectors straight
+  /// into \p out.
   void DecodeVector(size_t v, T* out) const;
 
-  /// Decodes the whole column into \p out (room for value_count() values).
-  /// Trusted path: no per-vector re-validation.
-  void DecodeAll(T* out) const;
-
-  /// Bounds-checked decode of vector \p v: every length and offset is
-  /// verified against the buffer extent before it is dereferenced, so a
-  /// truncated or garbled vector yields a non-OK Status instead of an
-  /// out-of-bounds access — even on buffers that never passed validation.
-  /// A non-null \p ctx is checked on entry (kCancelled/kDeadlineExceeded).
+  /// DecodeVector for callers that want a Status: a non-null \p ctx is
+  /// checked on entry (kCancelled/kDeadlineExceeded), the
+  /// column.decode_vector fault site fires here, and an out-of-range \p v
+  /// is kCorrupt.
   Status TryDecodeVector(size_t v, T* out, const OpContext* ctx = nullptr) const;
 
-  /// Bounds-checked decode of the whole column (room for value_count()).
+  /// Decodes the whole column (room for value_count() values).
   /// A non-null \p ctx is polled once per vector, so a cancelled or
   /// deadline-missed decode stops within one vector's worth of work; \p out
   /// must then be treated as garbage (see util/cancellation.h).
@@ -246,8 +261,9 @@ class ColumnReader {
  private:
   template <typename U>
   friend class ColumnMetaCursor;
+  friend struct internal::ColumnParser<T>;
 
-  ColumnReader() = default;  ///< Empty reader, filled by OpenRowgroupChunk.
+  ColumnReader() = default;  ///< Empty reader, filled by the parse.
 
   struct RowgroupInfo {
     size_t byte_offset = 0;          ///< Absolute offset in the buffer.
@@ -256,25 +272,21 @@ class ColumnReader {
     /// rd.dict pre-shifted by rd.right_bits, the form the dispatched glue
     /// kernel consumes (computed once at parse, see RdDictShifted).
     typename AlpTraits<T>::Uint rd_dict_shifted[8] = {};
-    std::vector<uint32_t> vector_offsets;  ///< Relative to rowgroup start.
     size_t first_vector = 0;         ///< Global index of its first vector.
     uint32_t vector_count = 0;
   };
 
-  void DecodeAlpVector(const RowgroupInfo& rg, size_t local_v, T* out) const;
-  void DecodeRdVector(const RowgroupInfo& rg, size_t local_v, T* out) const;
-  Status TryDecodeAlpVector(const RowgroupInfo& rg, size_t local_v,
-                            unsigned expect_n, T* out) const;
-  Status TryDecodeRdVector(const RowgroupInfo& rg, size_t local_v,
-                           unsigned expect_n, T* out) const;
+  void DecodeAlpVector(const internal::VectorRecord& rec, T* out) const;
+  void DecodeRdVector(const RowgroupInfo& rg, const internal::VectorRecord& rec,
+                      T* out) const;
 
   const uint8_t* data_ = nullptr;
   size_t size_ = 0;
   size_t value_count_ = 0;
   size_t vector_count_ = 0;
   uint8_t version_ = 0;
-  bool ok_ = false;
   std::vector<RowgroupInfo> rowgroups_;
+  std::vector<internal::VectorRecord> vectors_;  ///< One per vector.
   std::vector<VectorStats> stats_;
 };
 
@@ -338,8 +350,8 @@ struct RowgroupMeta {
 /// This is the substrate of the X-Ray explain engine (src/obs/xray.h) —
 /// everything `alp_cli explain` prints comes through here.
 ///
-/// Open validates the buffer first (ValidateColumnEx, including v3
-/// checksums), then walks trusted headers; the cursor additionally
+/// Open validates the buffer first (ColumnReader::Open, including v3
+/// checksums) and reads the vector records it built; the cursor additionally
 /// cross-checks each vector's declared streams against its extent so the
 /// per-stream byte accounting always sums exactly, or Open/Vector report
 /// kCorrupt. The buffer must outlive the cursor.
@@ -413,9 +425,10 @@ Status ValidateColumnParallelEx(const uint8_t* data, size_t size,
 template <typename T>
 bool ValidateColumn(const uint8_t* data, size_t size, std::string* reason = nullptr);
 
-/// Convenience one-shot decompression.
+/// Convenience one-shot decompression: Open, then TryDecodeAll into \p out,
+/// which must have room for the column's value_count() values.
 template <typename T>
-void DecompressColumn(const std::vector<uint8_t>& buffer, T* out);
+Status DecompressColumn(const std::vector<uint8_t>& buffer, T* out);
 
 namespace internal {
 

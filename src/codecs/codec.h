@@ -29,15 +29,11 @@ class Codec {
   /// Compresses \p n values into a self-contained byte buffer.
   virtual std::vector<uint8_t> Compress(const T* in, size_t n) = 0;
 
-  /// Decompresses exactly \p n values (the count the caller compressed).
-  /// Trusted path: assumes \p in is a buffer this codec's Compress
-  /// produced; undefined results (but no out-of-bounds reads) on garbage.
-  virtual void Decompress(const uint8_t* in, size_t size, size_t n, T* out) = 0;
-
-  /// Bounds-checked decompression for untrusted buffers: either decodes
-  /// exactly \p n values into \p out and returns OK, or returns a non-OK
-  /// Status. Never reads past in + size, never writes past out + n, and
-  /// never crashes — even on truncated or bit-flipped input.
+  /// The codec's one decoder, safe on untrusted buffers: either decodes
+  /// exactly \p n values (the count the caller compressed) into \p out and
+  /// returns OK, or returns a non-OK Status. Never reads past in + size,
+  /// never writes past out + n, and never crashes — even on truncated or
+  /// bit-flipped input.
   virtual Status TryDecompress(const uint8_t* in, size_t size, size_t n, T* out) = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "engine/column_store.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 
 namespace alp::engine {
@@ -20,8 +21,12 @@ StoredColumn StoredColumn::MakeAlp(const double* data, size_t n) {
   column.value_count_ = n;
   column.alp_buffer_ = CompressColumn(data, n);
   column.compressed_bytes_ = column.alp_buffer_.size();
-  column.alp_reader_ = std::make_unique<ColumnReader<double>>(column.alp_buffer_.data(),
-                                                              column.alp_buffer_.size());
+  // Every reader comes from the one parse. The buffer was produced just
+  // above, so a failure here is a bug in this library.
+  StatusOr<ColumnReader<double>> reader =
+      ColumnReader<double>::Open(column.alp_buffer_.data(), column.alp_buffer_.size());
+  if (!reader.ok()) std::abort();
+  column.alp_reader_ = std::make_unique<ColumnReader<double>>(std::move(reader).value());
   return column;
 }
 
@@ -45,25 +50,6 @@ StoredColumn StoredColumn::MakeCodec(std::unique_ptr<codecs::DoubleCodec> codec,
 unsigned StoredColumn::RowgroupLength(size_t rg) const {
   const size_t off = rg * kRowgroupSize;
   return static_cast<unsigned>(std::min<size_t>(kRowgroupSize, value_count_ - off));
-}
-
-void StoredColumn::DecodeRowgroup(size_t rg, double* out) const {
-  const size_t off = rg * kRowgroupSize;
-  const unsigned len = RowgroupLength(rg);
-  if (!raw_.empty()) {
-    std::memcpy(out, raw_.data() + off, len * sizeof(double));
-    return;
-  }
-  if (alp_reader_ != nullptr) {
-    const size_t first_vector = rg * kRowgroupVectors;
-    const size_t vectors = (len + kVectorSize - 1) / kVectorSize;
-    for (size_t v = 0; v < vectors; ++v) {
-      alp_reader_->DecodeVector(first_vector + v, out + v * kVectorSize);
-    }
-    return;
-  }
-  const std::vector<uint8_t>& block = codec_blocks_[rg];
-  codec_->Decompress(block.data(), block.size(), len, out);
 }
 
 const double* StoredColumn::RowgroupPointer(size_t rg) const {
@@ -94,8 +80,22 @@ Status StoredColumn::TryDecodeRowgroup(size_t rg, double* out,
     Status s = ctx->Check();
     if (!s.ok()) return s;
   }
-  DecodeRowgroup(rg, out);
-  return Status::Ok();
+  const size_t off = rg * kRowgroupSize;
+  const unsigned len = RowgroupLength(rg);
+  if (!raw_.empty()) {
+    std::memcpy(out, raw_.data() + off, len * sizeof(double));
+    return Status::Ok();
+  }
+  if (alp_reader_ != nullptr) {
+    const size_t first_vector = rg * kRowgroupVectors;
+    const size_t vectors = (len + kVectorSize - 1) / kVectorSize;
+    for (size_t v = 0; v < vectors; ++v) {
+      alp_reader_->DecodeVector(first_vector + v, out + v * kVectorSize);
+    }
+    return Status::Ok();
+  }
+  const std::vector<uint8_t>& block = codec_blocks_[rg];
+  return codec_->TryDecompress(block.data(), block.size(), len, out);
 }
 
 }  // namespace alp::engine

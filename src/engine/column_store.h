@@ -45,10 +45,6 @@ class StoredColumn {
   /// Values in rowgroup \p rg.
   unsigned RowgroupLength(size_t rg) const;
 
-  /// Decodes rowgroup \p rg into \p out (room for RowgroupLength(rg));
-  /// uncompressed columns copy (modeling a buffer-pool read).
-  void DecodeRowgroup(size_t rg, double* out) const;
-
   /// For uncompressed columns: zero-copy view of a rowgroup (nullptr for
   /// compressed columns). SUM uses this to aggregate in place.
   const double* RowgroupPointer(size_t rg) const;
@@ -72,11 +68,14 @@ class StoredColumn {
   /// fetch → verify → open → decode path and the shared cache.
   const io::SeekableReader<double>* Seekable() const { return seekable_.get(); }
 
-  /// Fallible rowgroup decode: seekable columns go through the chunked
-  /// reader (cache, checksum verify, io.chunk_read fault site) with \p ctx
-  /// polled per vector; others fall back to the trusted DecodeRowgroup after
-  /// one ctx poll. Engine operators use this so the same scan code serves
-  /// both in-memory and out-of-core columns.
+  /// Decodes rowgroup \p rg into \p out (room for RowgroupLength(rg)).
+  /// Seekable columns go through the chunked reader (cache, checksum
+  /// verify, io.chunk_read fault site) with \p ctx polled per vector; other
+  /// columns poll \p ctx once, then copy (uncompressed, modeling a
+  /// buffer-pool read), decode through the reader Open built (ALP) or
+  /// through the codec's TryDecompress, whose Status is returned. Engine
+  /// operators use this so the same scan code serves in-memory and
+  /// out-of-core columns.
   Status TryDecodeRowgroup(size_t rg, double* out,
                            const OpContext* ctx = nullptr) const;
 

@@ -53,14 +53,16 @@ TEST(Appender, BatchAppendAcrossRowgroupBoundaries) {
   }
   const auto buffer = appender.Finish();
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 }
 
 TEST(Appender, EmptyColumn) {
   ColumnAppender<double> appender;
   const auto buffer = appender.Finish();
-  ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  const ColumnReader<double>& reader = *reader_or;
   EXPECT_EQ(reader.value_count(), 0u);
 }
 
@@ -68,7 +70,9 @@ TEST(Appender, SingleValue) {
   ColumnAppender<double> appender;
   appender.Append(-42.125);
   const auto buffer = appender.Finish();
-  ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  const ColumnReader<double>& reader = *reader_or;
   ASSERT_EQ(reader.value_count(), 1u);
   double out = 0;
   reader.DecodeVector(0, &out);
@@ -97,10 +101,10 @@ TEST(Appender, ReusableAfterFinish) {
   const auto buffer2 = appender.Finish();
 
   std::vector<double> out1(first.size());
-  DecompressColumn(buffer1, out1.data());
+  ASSERT_TRUE(DecompressColumn(buffer1, out1.data()).ok());
   ExpectBitExact(first, out1);
   std::vector<double> out2(second.size());
-  DecompressColumn(buffer2, out2.data());
+  ASSERT_TRUE(DecompressColumn(buffer2, out2.data()).ok());
   ExpectBitExact(second, out2);
 }
 
@@ -122,7 +126,7 @@ TEST(Appender, FloatColumn) {
   appender.AppendBatch(data.data(), data.size());
   const auto buffer = appender.Finish();
   std::vector<float> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   for (size_t i = 0; i < data.size(); ++i) {
     ASSERT_EQ(BitsOf(out[i]), BitsOf(data[i]));
   }

@@ -23,9 +23,11 @@ void ExpectBitExact(const std::vector<double>& a, const std::vector<double>& b) 
 std::vector<double> RoundTrip(const std::vector<double>& data,
                               CascadeStrategy* used = nullptr) {
   const auto buffer = CascadeCompress(data.data(), data.size(), {}, used);
-  EXPECT_EQ(CascadeValueCount(buffer), data.size());
+  const StatusOr<size_t> count = CascadeValueCount(buffer);
+  EXPECT_TRUE(count.ok() && *count == data.size());
   std::vector<double> out(data.size());
-  CascadeDecompress(buffer, out.data());
+  const Status s = CascadeDecompress(buffer, out.data(), out.size());
+  EXPECT_TRUE(s.ok()) << s.ToString();
   return out;
 }
 
@@ -101,14 +103,17 @@ TEST(Cascade, DictionaryFallsBackWhenTooManyDistinct) {
   const auto buffer = CascadeCompress(data.data(), data.size(), config, &used);
   EXPECT_EQ(used, CascadeStrategy::kPlain);
   std::vector<double> out(data.size());
-  CascadeDecompress(buffer, out.data());
+  ASSERT_TRUE(CascadeDecompress(buffer, out.data(), out.size()).ok());
   ExpectBitExact(data, out);
 }
 
 TEST(Cascade, EmptyInput) {
   CascadeStrategy used;
   const auto buffer = CascadeCompress(nullptr, 0, {}, &used);
-  EXPECT_EQ(CascadeValueCount(buffer), 0u);
+  const StatusOr<size_t> count = CascadeValueCount(buffer);
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(*count, 0u);
+  EXPECT_TRUE(CascadeDecompress(buffer, nullptr, 0).ok());
 }
 
 TEST(Cascade, TinyInput) {

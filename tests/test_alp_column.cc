@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <type_traits>
 #include <vector>
 
 #include "alp/column.h"
@@ -15,6 +16,11 @@
 
 namespace alp {
 namespace {
+
+// Every reader comes from the one validating parse (Open); the unvalidated
+// constructor must not come back.
+static_assert(!std::is_constructible_v<ColumnReader<double>, const uint8_t*, size_t>);
+static_assert(!std::is_constructible_v<ColumnReader<float>, const uint8_t*, size_t>);
 
 std::vector<double> Decimals(size_t n, int precision, uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -44,7 +50,7 @@ TEST(Column, RoundTripSingleVector) {
   const auto data = Decimals(kVectorSize, 2, 1);
   const auto buffer = CompressColumn(data.data(), data.size());
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 }
 
@@ -52,7 +58,7 @@ TEST(Column, RoundTripPartialVector) {
   const auto data = Decimals(777, 3, 2);
   const auto buffer = CompressColumn(data.data(), data.size());
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 }
 
@@ -63,13 +69,15 @@ TEST(Column, RoundTripMultiRowgroup) {
   EXPECT_EQ(info.rowgroups, 3u);
   EXPECT_EQ(info.vectors, (data.size() + kVectorSize - 1) / kVectorSize);
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 }
 
 TEST(Column, EmptyColumn) {
   const auto buffer = CompressColumn<double>(nullptr, 0);
-  ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  const ColumnReader<double>& reader = *reader_or;
   EXPECT_EQ(reader.value_count(), 0u);
   EXPECT_EQ(reader.vector_count(), 0u);
 }
@@ -77,7 +85,9 @@ TEST(Column, EmptyColumn) {
 TEST(Column, SingleValue) {
   const double v = 1234.56;
   const auto buffer = CompressColumn(&v, 1);
-  ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  const ColumnReader<double>& reader = *reader_or;
   ASSERT_EQ(reader.value_count(), 1u);
   double out = 0;
   reader.DecodeVector(0, &out);
@@ -87,7 +97,9 @@ TEST(Column, SingleValue) {
 TEST(Column, RandomVectorAccess) {
   const auto data = Decimals(kRowgroupSize + 5000, 2, 4);
   const auto buffer = CompressColumn(data.data(), data.size());
-  ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  const ColumnReader<double>& reader = *reader_or;
 
   // Decode vectors out of order; results must match the right slices.
   const size_t indices[] = {7, 0, 42, reader.vector_count() - 1, 100, 3};
@@ -104,7 +116,9 @@ TEST(Column, RandomVectorAccess) {
 TEST(Column, VectorLengthAndScheme) {
   const auto data = Decimals(kVectorSize * 2 + 100, 2, 5);
   const auto buffer = CompressColumn(data.data(), data.size());
-  ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  const ColumnReader<double>& reader = *reader_or;
   ASSERT_EQ(reader.vector_count(), 3u);
   EXPECT_EQ(reader.VectorLength(0), kVectorSize);
   EXPECT_EQ(reader.VectorLength(2), 100u);
@@ -117,10 +131,14 @@ TEST(Column, RdRowgroupRoundTrip) {
   const auto buffer = CompressColumn(data.data(), data.size(), {}, &info);
   EXPECT_EQ(info.rowgroups_rd, info.rowgroups);  // All rowgroups fell back.
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 
-  ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+
+  const ColumnReader<double>& reader = *reader_or;
   EXPECT_EQ(reader.VectorScheme(0), Scheme::kAlpRd);
 }
 
@@ -137,10 +155,14 @@ TEST(Column, MixedSchemesAcrossRowgroups) {
   EXPECT_EQ(info.rowgroups_rd, 1u);
 
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 
-  ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+
+  const ColumnReader<double>& reader = *reader_or;
   EXPECT_EQ(reader.VectorScheme(0), Scheme::kAlp);
   EXPECT_EQ(reader.VectorScheme(kRowgroupVectors), Scheme::kAlpRd);
   EXPECT_EQ(reader.VectorScheme(2 * kRowgroupVectors), Scheme::kAlp);
@@ -155,7 +177,7 @@ TEST(Column, SpecialValuesSurvive) {
   data[3000] = std::numeric_limits<double>::denorm_min();
   const auto buffer = CompressColumn(data.data(), data.size());
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 }
 
@@ -180,7 +202,7 @@ TEST(Column, ZeroHeavyColumn) {
   for (size_t i = 0; i < data.size(); i += 97) data[i] = 12.75;
   const auto buffer = CompressColumn(data.data(), data.size());
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
   EXPECT_LT(BitsPerValue<double>(buffer, data.size()), 12.0);
 }
@@ -198,8 +220,9 @@ TEST(Column, InfoExceptionCounters) {
 TEST(Column, WrongTypeTagRejected) {
   const auto data = Decimals(kVectorSize, 2, 13);
   const auto buffer = CompressColumn(data.data(), data.size());
-  ColumnReader<float> reader(buffer.data(), buffer.size());
-  EXPECT_EQ(reader.value_count(), 0u);  // Type mismatch -> empty reader.
+  const auto reader = ColumnReader<float>::Open(buffer.data(), buffer.size());
+  ASSERT_FALSE(reader.ok());  // A double column is not a float column.
+  EXPECT_EQ(reader.status().code(), StatusCode::kCorrupt);
 }
 
 TEST(Column, DeltaIntegerEncodingOnSortedData) {
@@ -219,7 +242,7 @@ TEST(Column, DeltaIntegerEncodingOnSortedData) {
   EXPECT_LT(delta_buf.size(), ffor_buf.size() / 2);
 
   std::vector<double> out(data.size());
-  DecompressColumn(delta_buf, out.data());
+  ASSERT_TRUE(DecompressColumn(delta_buf, out.data()).ok());
   ExpectBitExact(data, out);
   std::string reason;
   EXPECT_TRUE(ValidateColumn<double>(delta_buf.data(), delta_buf.size(), &reason))
@@ -234,7 +257,7 @@ TEST(Column, DeltaFallsBackToForOnUnsortedData) {
   with_delta.try_delta_encoding = true;
   const auto buffer = CompressColumn(data.data(), data.size(), with_delta);
   std::vector<double> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
 }
 
@@ -246,7 +269,9 @@ TEST(Column, DeltaModeRandomAccessStillWorks) {
   SamplerConfig with_delta;
   with_delta.try_delta_encoding = true;
   const auto buffer = CompressColumn(data.data(), data.size(), with_delta);
-  ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  const ColumnReader<double>& reader = *reader_or;
   std::vector<double> out(kVectorSize);
   reader.DecodeVector(3, out.data());
   for (unsigned i = 0; i < kVectorSize; ++i) {
@@ -257,10 +282,12 @@ TEST(Column, DeltaModeRandomAccessStillWorks) {
 TEST(Column, DecodeAllEqualsPerVectorDecode) {
   const auto data = Decimals(kVectorSize * 7 + 99, 3, 14);
   const auto buffer = CompressColumn(data.data(), data.size());
-  ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  const ColumnReader<double>& reader = *reader_or;
 
   std::vector<double> all(data.size() + kVectorSize);  // Slack for full tail.
-  reader.DecodeAll(all.data());
+  ASSERT_TRUE(reader.TryDecodeAll(all.data()).ok());
   for (size_t v = 0; v < reader.vector_count(); ++v) {
     std::vector<double> one(reader.VectorLength(v));
     reader.DecodeVector(v, one.data());

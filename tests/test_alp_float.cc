@@ -77,7 +77,7 @@ TEST(FloatColumn, RoundTripDecimals) {
   const auto data = FloatDecimals(kRowgroupSize + 777, 2, 4);
   const auto buffer = CompressColumn(data.data(), data.size());
   std::vector<float> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
   EXPECT_LT(BitsPerValue<float>(buffer, data.size()), 26.0);
 }
@@ -92,7 +92,7 @@ TEST(FloatColumn, MlWeightsFallBackToRd) {
   const auto buffer = CompressColumn(data.data(), data.size(), {}, &info);
   EXPECT_EQ(info.rowgroups_rd, info.rowgroups);
   std::vector<float> out(data.size());
-  DecompressColumn(buffer, out.data());
+  ASSERT_TRUE(DecompressColumn(buffer, out.data()).ok());
   ExpectBitExact(data, out);
   EXPECT_LT(BitsPerValue<float>(buffer, data.size()), 32.0);
 }
@@ -127,7 +127,9 @@ TEST(FloatColumn, HalvedRatioMirrorsDoubleRepresentation) {
 TEST(FloatColumn, RandomVectorAccess) {
   const auto data = FloatDecimals(kVectorSize * 5 + 321, 1, 7);
   const auto buffer = CompressColumn(data.data(), data.size());
-  ColumnReader<float> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<float>::Open(buffer.data(), buffer.size());
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  const ColumnReader<float>& reader = *reader_or;
   std::vector<float> out(reader.VectorLength(3));
   reader.DecodeVector(3, out.data());
   const std::vector<float> expected(data.begin() + 3 * kVectorSize,

@@ -29,7 +29,9 @@ std::vector<double> Decimals(size_t n, uint64_t seed) {
 TEST(ZoneMap, MinMaxMatchData) {
   const auto data = Decimals(kVectorSize * 5 + 100, 1);
   const auto buffer = CompressColumn(data.data(), data.size());
-  ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  const ColumnReader<double>& reader = *reader_or;
   for (size_t v = 0; v < reader.vector_count(); ++v) {
     const VectorStats& stats = reader.Stats(v);
     double min = std::numeric_limits<double>::infinity();
@@ -60,7 +62,9 @@ TEST(ZoneMap, NansAreExcluded) {
   data[10] = 5.0;
   data[20] = 7.0;
   const auto buffer = CompressColumn(data.data(), data.size());
-  ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  const ColumnReader<double>& reader = *reader_or;
   EXPECT_EQ(reader.Stats(0).min, 5.0);
   EXPECT_EQ(reader.Stats(0).max, 7.0);
 }
@@ -68,7 +72,9 @@ TEST(ZoneMap, NansAreExcluded) {
 TEST(ZoneMap, AllNanVectorMatchesNothing) {
   std::vector<double> data(kVectorSize, std::numeric_limits<double>::quiet_NaN());
   const auto buffer = CompressColumn(data.data(), data.size());
-  ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  const ColumnReader<double>& reader = *reader_or;
   EXPECT_FALSE(reader.VectorMayContain(0, -1e308, 1e308));
 }
 
@@ -119,7 +125,9 @@ TEST(ZoneMap, SkippingIsSound) {
   std::vector<double> data(kVectorSize * 20);
   for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<double>(i) * 0.25;
   const auto buffer = CompressColumn(data.data(), data.size());
-  ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  const ColumnReader<double>& reader = *reader_or;
 
   const double lo = 1000.0;
   const double hi = 1100.0;
@@ -145,7 +153,9 @@ TEST(ZoneMap, RdRowgroupsHaveStatsToo) {
   std::vector<double> data(kVectorSize * 3);
   for (auto& v : data) v = 1.0 + static_cast<double>(rng() >> 11) * 0x1.0p-53;
   const auto buffer = CompressColumn(data.data(), data.size());
-  ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  const ColumnReader<double>& reader = *reader_or;
   ASSERT_EQ(reader.VectorScheme(0), Scheme::kAlpRd);
   EXPECT_GE(reader.Stats(0).min, 1.0);
   EXPECT_LE(reader.Stats(0).max, 2.0);

@@ -2,7 +2,8 @@
 // deterministic mutations (single-bit flips, truncations, header and index
 // mutations, pure garbage) applied to v3 column buffers and to every
 // baseline codec's stream, then decoded through the fallible paths
-// (ColumnReader::Open / TryDecodeAll, Codec::TryDecompress). The single
+// (ColumnReader::Open / TryDecodeAll, Codec::TryDecompress) and to the
+// LWC+ALP cascade (CascadeDecompress). The single
 // invariant everywhere: a mutated buffer either round-trips bit-exactly or
 // is rejected with a non-OK Status - never a crash, never an out-of-bounds
 // access (the CI sanitizer job runs this file under ASan+UBSan), and never
@@ -235,11 +236,11 @@ TEST(ColumnV2Compat, V2BuffersStillDecode) {
     EXPECT_EQ(reader->format_version(), 2);
     EXPECT_EQ(Classify(v2, corpus->values), MutationOutcome::kRoundTripped);
 
-    // The trusted tier reads v2 too.
-    ColumnReader<double> trusted(v2.data(), v2.size());
-    ASSERT_TRUE(trusted.ok());
-    std::vector<double> out(trusted.value_count());
-    trusted.DecodeAll(out.data());
+    // The one decoder reads v2 too, vector by vector.
+    std::vector<double> out(reader->value_count());
+    for (size_t v = 0; v < reader->vector_count(); ++v) {
+      reader->DecodeVector(v, out.data() + v * kVectorSize);
+    }
     EXPECT_EQ(std::memcmp(out.data(), corpus->values.data(),
                           out.size() * sizeof(double)),
               0);
@@ -488,6 +489,145 @@ TEST(CodecHardening, FloatCodecsSurviveTruncationAndFlips) {
     CheckCodecHardening(*codec, data);
   }
   CheckCodecHardening(*codecs::MakeAlpCodec32(), data);
+}
+
+// ---------------------------------------------------------------------------
+// Cascade hardening: plain, dictionary and RLE corpora through the cascade's
+// one decoder. Every mutation is either rejected or decodes bit-exactly.
+
+struct CascadeCorpus {
+  const char* name;
+  std::vector<double> values;
+  std::vector<uint8_t> buffer;
+};
+
+CascadeCorpus MakeCascadeCorpus(const char* name, std::vector<double> values,
+                                CascadeStrategy want) {
+  CascadeCorpus corpus{name, std::move(values), {}};
+  CascadeStrategy used;
+  corpus.buffer =
+      CascadeCompress(corpus.values.data(), corpus.values.size(), {}, &used);
+  EXPECT_EQ(used, want) << name;
+  return corpus;
+}
+
+const std::vector<CascadeCorpus>& CascadeCorpora() {
+  static const std::vector<CascadeCorpus> corpora = [] {
+    std::mt19937_64 rng(2718);
+    std::vector<double> dict_values(3000);
+    for (auto& v : dict_values) v = static_cast<double>(rng() % 40) / 8.0;
+    std::vector<double> rle_values;
+    while (rle_values.size() < 3000) {
+      rle_values.insert(rle_values.end(), 20 + rng() % 60, 0.0);
+      rle_values.push_back(static_cast<double>(rng() % 10000) / 100.0);
+    }
+    std::vector<CascadeCorpus> out;
+    out.push_back(MakeCascadeCorpus("plain", testutil::DecimalData(2719, 2500),
+                                    CascadeStrategy::kPlain));
+    out.push_back(MakeCascadeCorpus("dictionary", std::move(dict_values),
+                                    CascadeStrategy::kDictionary));
+    out.push_back(MakeCascadeCorpus("rle", std::move(rle_values),
+                                    CascadeStrategy::kRle));
+    return out;
+  }();
+  return corpora;
+}
+
+MutationOutcome ClassifyCascade(const std::vector<uint8_t>& buffer,
+                                const std::vector<double>& values) {
+  std::vector<double> out(values.size());
+  if (!CascadeDecompress(buffer, out.data(), out.size()).ok()) {
+    return MutationOutcome::kRejected;
+  }
+  return std::memcmp(out.data(), values.data(), values.size() * sizeof(double)) == 0
+             ? MutationOutcome::kRoundTripped
+             : MutationOutcome::kSilentCorruption;
+}
+
+TEST(CascadeHardening, CorporaRoundTrip) {
+  for (const CascadeCorpus& corpus : CascadeCorpora()) {
+    EXPECT_EQ(ClassifyCascade(corpus.buffer, corpus.values),
+              MutationOutcome::kRoundTripped)
+        << corpus.name;
+  }
+}
+
+TEST(CascadeHardening, EveryPrefixRejectsOrRoundTrips) {
+  // Only a prefix that sheds the plain corpus's trailing alignment padding
+  // can still decode; everything else must be rejected.
+  for (const CascadeCorpus& corpus : CascadeCorpora()) {
+    for (size_t len = 0; len < corpus.buffer.size(); ++len) {
+      const std::vector<uint8_t> prefix(corpus.buffer.begin(),
+                                        corpus.buffer.begin() + len);
+      ASSERT_NE(ClassifyCascade(prefix, corpus.values),
+                MutationOutcome::kSilentCorruption)
+          << corpus.name << " prefix " << len;
+      if (len < 16) {
+        EXPECT_FALSE(CascadeValueCount(prefix).ok()) << corpus.name << " " << len;
+      }
+    }
+  }
+}
+
+TEST(CascadeHardening, SeededBitFlipsRejectOrRoundTrip) {
+  // The nested ALP columns carry checksums and every other field is
+  // cross-checked (counts, widths, extents, dictionary codes, run totals),
+  // with one exception: a flip in the dictionary's code stream (packed
+  // codes and their per-block bases) can select another valid entry, which
+  // no check can tell apart. Those flips are held to memory safety only
+  // (the sanitizer job makes that real).
+  for (const CascadeCorpus& corpus : CascadeCorpora()) {
+    SCOPED_TRACE(corpus.name);
+    size_t codes_begin = corpus.buffer.size();
+    if (corpus.name == std::string("dictionary")) {
+      uint64_t nested_size;
+      std::memcpy(&nested_size, corpus.buffer.data() + 16, sizeof(nested_size));
+      // Nested column, its 8-byte alignment, the code count, then per
+      // block a width byte padded to 8 and the 8-byte base.
+      codes_begin = 24 + ((nested_size + 7) & ~uint64_t{7}) + 8 + 16;
+    }
+    std::mt19937_64 rng(4711);
+    for (int trial = 0; trial < 400; ++trial) {
+      std::vector<uint8_t> bad = corpus.buffer;
+      const size_t bit = rng() % (bad.size() * 8);
+      bad[bit / 8] ^= uint8_t{1} << (bit % 8);
+      const MutationOutcome outcome = ClassifyCascade(bad, corpus.values);
+      if (bit / 8 < codes_begin) {
+        ASSERT_NE(outcome, MutationOutcome::kSilentCorruption) << "bit " << bit;
+      }
+    }
+  }
+}
+
+TEST(CascadeHardening, PureGarbageIsRejected) {
+  std::mt19937_64 rng(1618);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<uint8_t> garbage(rng() % 4096);
+    for (auto& b : garbage) b = static_cast<uint8_t>(rng());
+    const size_t n = 1 + rng() % 5000;
+    // Most trials get a plausible header (strategy 0-2, the requested
+    // count) so the decoder walks into the nested column and FFOR streams.
+    if (trial % 4 != 0 && garbage.size() >= 16) {
+      garbage[0] = static_cast<uint8_t>(trial % 3);
+      const uint64_t count = n;
+      std::memcpy(garbage.data() + 8, &count, sizeof(count));
+    }
+    std::vector<double> out(n);
+    EXPECT_FALSE(CascadeDecompress(garbage, out.data(), n).ok()) << "trial " << trial;
+  }
+  // A valid nested column followed by garbage FFOR streams.
+  for (const CascadeCorpus& corpus : CascadeCorpora()) {
+    if (corpus.name == std::string("plain")) continue;
+    uint64_t nested_size;
+    std::memcpy(&nested_size, corpus.buffer.data() + 16, sizeof(nested_size));
+    const size_t tail = 24 + ((nested_size + 7) & ~uint64_t{7});
+    for (int trial = 0; trial < 100; ++trial) {
+      std::vector<uint8_t> bad = corpus.buffer;
+      for (size_t i = tail; i < bad.size(); ++i) bad[i] = static_cast<uint8_t>(rng());
+      ASSERT_NE(ClassifyCascade(bad, corpus.values), MutationOutcome::kSilentCorruption)
+          << corpus.name << " trial " << trial;
+    }
+  }
 }
 
 }  // namespace

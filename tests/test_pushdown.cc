@@ -511,7 +511,9 @@ TEST(PushdownGather, DenseGatherBitwiseEqualsGatherKernelEveryTier) {
   // the raw values themselves, since the format is lossless.
   const auto data = WithSpecials(kVectorSize * 6 + 100);
   const auto buffer = CompressColumn(data.data(), data.size());
-  const ColumnReader<double> reader(buffer.data(), buffer.size());
+  auto reader_or = ColumnReader<double>::Open(buffer.data(), buffer.size());
+  ASSERT_TRUE(reader_or.ok()) << reader_or.status().ToString();
+  const ColumnReader<double>& reader = *reader_or;
   std::mt19937_64 rng(67);
   TierGuard guard;
   size_t packed_vectors = 0;
