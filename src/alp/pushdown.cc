@@ -144,16 +144,7 @@ bool ZoneFullInside(const VectorStats& stats, const Predicate& pred) {
          (pred.hi_open ? stats.max < pred.hi : stats.max <= pred.hi);
 }
 
-bool CanSumWholeVector(const ColumnReader<double>& reader, size_t v,
-                       const Predicate& pred) {
-  if (reader.VectorScheme(v) != Scheme::kAlp) return false;
-  if (reader.VectorExceptionCount(v) != 0) return false;
-  if (!ZoneFullInside(reader.Stats(v), pred)) return false;
-  NoteFullInsideVector();
-  return true;
-}
-
-bool FilterSumVector(const ColumnReader<double>& reader, size_t v,
+void FilterSumVector(const ColumnReader<double>& reader, size_t v,
                      const TranslatedPredicate& pred, EvalScratch* scratch,
                      double* sum, VectorCounters* counters) {
   const PackedPlan plan = PlanPacked(reader, v, pred);
@@ -166,7 +157,7 @@ bool FilterSumVector(const ColumnReader<double>& reader, size_t v,
         reader, v, plan.view, scratch->bitmap, PopcountBitmap(scratch->bitmap),
         /*lanes_unpacked=*/true, scratch, scratch->values);
     *sum += StripedSumAll(scratch->values, count);
-    return true;
+    return;
   }
 
   // Decode-then-filter fallback: select, compact, striped sum.
@@ -176,10 +167,9 @@ bool FilterSumVector(const ColumnReader<double>& reader, size_t v,
   NoteMaterialized();
   reader.DecodeVector(v, scratch->values);
   *sum += FilterSumValues(scratch->values, len, pred.pred(), scratch);
-  return false;
 }
 
-bool SelectVector(const ColumnReader<double>& reader, size_t v,
+void SelectVector(const ColumnReader<double>& reader, size_t v,
                   const TranslatedPredicate& pred, EvalScratch* scratch,
                   uint64_t* bitmap, unsigned* count, VectorCounters* counters) {
   const PackedPlan plan = PlanPacked(reader, v, pred);
@@ -189,7 +179,7 @@ bool SelectVector(const ColumnReader<double>& reader, size_t v,
     NotePackedEval();
     SelectPacked(plan, pred, scratch->lanes, bitmap);
     *count = PopcountBitmap(bitmap);
-    return true;
+    return;
   }
 
   const unsigned len = reader.VectorLength(v);
@@ -198,7 +188,6 @@ bool SelectVector(const ColumnReader<double>& reader, size_t v,
   NoteMaterialized();
   reader.DecodeVector(v, scratch->values);
   *count = SelectValues(scratch->values, len, pred.pred(), bitmap);
-  return false;
 }
 
 unsigned GatherVector(const ColumnReader<double>& reader, size_t v,
@@ -232,23 +221,6 @@ double FilterSumValues(const double* values, unsigned n, const Predicate& pred,
   const unsigned count = kernels::Active().compact64(values, n, scratch->bitmap,
                                                      scratch->values);
   return StripedSumAll(scratch->values, count);
-}
-
-void NoteSkippedVectors(size_t n) {
-  ALP_OBS_ONLY({
-    static auto& c = obs::MetricRegistry::Global().GetCounter(
-        "engine.pushdown.vectors_skipped");
-    c.Add(n);
-  });
-  (void)n;
-}
-
-void NoteFullInsideVector() {
-  ALP_OBS_ONLY({
-    static auto& c = obs::MetricRegistry::Global().GetCounter(
-        "engine.pushdown.vectors_full_inside");
-    c.Increment();
-  });
 }
 
 }  // namespace alp::pushdown

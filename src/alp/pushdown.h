@@ -11,8 +11,8 @@
 
 /// \file pushdown.h
 /// Per-vector compressed-domain predicate evaluation and the one summation
-/// path, shared by the engine operators, the out-of-core reader and the
-/// server: a translated range predicate (alp/predicate.h) is evaluated
+/// path, used by the executor's per-rowgroup bodies (alp/executor.h) that
+/// every route runs: a translated range predicate (alp/predicate.h) is evaluated
 /// directly on a vector's FFOR-packed lanes via the dispatched compare
 /// kernel, producing a 1024-bit selection bitmap; exceptions are resolved
 /// from the position list only, and survivors are late-materialized.
@@ -42,9 +42,10 @@
 /// Query fold: a rowgroup's partial is the in-order sum of its vectors'
 /// striped sums, and a query's sum is the in-order sum of its rowgroup
 /// partials (one slot per rowgroup, folded in rowgroup order after the
-/// workers join). The engine, the seekable reader and the server all fold
-/// this way, so a sum depends on neither the thread count, the morsel
-/// schedule, the cache state, the kernel tier nor the route.
+/// workers join). The engine, the seekable reader and the server all run
+/// the executor's bodies and fold this way, so a sum depends on neither
+/// the thread count, the morsel schedule, the cache state, the kernel tier
+/// nor the route.
 ///
 /// Skipping a non-survivor's `+= 0.0` (or a skipped vector's `+= +0.0`
 /// reduction) is exact because an accumulator that starts at +0.0 can
@@ -73,6 +74,14 @@ struct VectorCounters {
   size_t packed_eval = 0;  ///< vectors filtered on packed lanes
   size_t decoded = 0;      ///< vectors that fell back to decode-then-filter
   size_t full_inside = 0;  ///< vectors summed whole via the zone-map proof
+
+  VectorCounters& operator+=(const VectorCounters& other) {
+    skipped += other.skipped;
+    packed_eval += other.packed_eval;
+    decoded += other.decoded;
+    full_inside += other.full_inside;
+    return *this;
+  }
 };
 
 /// Survivor density at which late materialization switches from the gather
@@ -161,22 +170,16 @@ inline double StripedDotAll(const double* a, const double* b, unsigned n) {
 /// round-trips NaN with no exception record.
 bool ZoneFullInside(const VectorStats& stats, const Predicate& pred);
 
-/// ZoneFullInside plus the scheme / exception-count gate, for readers
-/// that carry a zone map (not rowgroup-chunk readers).
-bool CanSumWholeVector(const ColumnReader<double>& reader, size_t v,
-                       const Predicate& pred);
-
 /// Filters vector \p v and adds the qualifying values to *sum in index
-/// order. Returns true when the vector was evaluated on packed lanes,
-/// false when it decoded (fallback). Zone-map skipping and the
-/// full-inside fast path are the caller's job.
-bool FilterSumVector(const ColumnReader<double>& reader, size_t v,
+/// order, on packed lanes when possible, else decode-then-filter.
+/// Zone-map skipping and the full-inside fast path are the caller's job.
+void FilterSumVector(const ColumnReader<double>& reader, size_t v,
                      const TranslatedPredicate& pred, EvalScratch* scratch,
                      double* sum, VectorCounters* counters);
 
 /// Computes vector \p v's selection bitmap (16 words) under \p pred and
-/// its survivor count. Returns true when evaluated on packed lanes.
-bool SelectVector(const ColumnReader<double>& reader, size_t v,
+/// its survivor count, on packed lanes when possible.
+void SelectVector(const ColumnReader<double>& reader, size_t v,
                   const TranslatedPredicate& pred, EvalScratch* scratch,
                   uint64_t* bitmap, unsigned* count, VectorCounters* counters);
 
@@ -203,29 +206,6 @@ unsigned SelectValues(const double* values, unsigned n, const Predicate& pred,
 /// Bitwise equal to the SurvivorSum oracle fed the values that match.
 double FilterSumValues(const double* values, unsigned n, const Predicate& pred,
                        EvalScratch* scratch);
-
-/// Per-vector striped sums of values[0..n) (vector boundaries every
-/// kVectorSize values) added in order: a rowgroup's unfiltered partial
-/// under the summation contract.
-inline double StripedSumVectors(const double* values, size_t n) {
-  double sum = 0.0;
-  for (size_t i = 0; i < n; i += kVectorSize) {
-    const unsigned len =
-        static_cast<unsigned>(n - i < kVectorSize ? n - i : kVectorSize);
-    sum += StripedSumAll(values + i, len);
-  }
-  return sum;
-}
-
-/// Records zone-map-skipped vectors on the obs counter
-/// engine.pushdown.vectors_skipped (no-op without ALP_OBS).
-void NoteSkippedVectors(size_t n);
-
-/// Records one full-inside fast-path vector on the obs counter
-/// engine.pushdown.vectors_full_inside. CanSumWholeVector records
-/// automatically; callers proving full-inside from an external zone map
-/// (the out-of-core reader) record through this.
-void NoteFullInsideVector();
 
 }  // namespace alp::pushdown
 

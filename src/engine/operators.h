@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "alp/executor.h"
 #include "alp/predicate.h"
 #include "engine/column_store.h"
 #include "util/cancellation.h"
@@ -12,10 +13,10 @@
 /// \file operators.h
 /// The vectorized query operators of the end-to-end experiments (paper
 /// Section 4.3): SCAN decompresses every vector of a column; SUM pipes the
-/// scan vector-at-a-time into an aggregation. Both parallelize over
-/// rowgroup morsels claimed from a shared counter, and report elapsed
-/// cycles so the harness can compute the paper's tuples-per-cycle-per-core
-/// metric.
+/// scan vector-at-a-time into an aggregation. Each runs one executor body
+/// (alp/executor.h) per rowgroup morsel claimed from a shared counter, on
+/// any storage kind, and reports elapsed cycles so the harness can compute
+/// the paper's tuples-per-cycle-per-core metric.
 
 namespace alp::engine {
 
@@ -77,22 +78,12 @@ QueryResult RunSum(const StoredColumn& column, ThreadPool& pool,
 QueryResult RunCompression(const StoredColumn& column, const double* data, size_t n);
 
 /// How FILTER queries evaluate vectors that survive the zone map.
-enum class FilterMode {
-  /// Compressed-domain execution: the predicate is translated into the
-  /// integer domain and evaluated on FFOR-packed lanes; only survivors are
-  /// materialized (alp/pushdown.h). Vectors the packed path cannot serve
-  /// (ALP_rd, Delta, non-ALP storage) decode-then-filter per vector.
-  kAuto,
-  /// Always decode every surviving vector, then select + compact +
-  /// striped sum over the decoded values — the mode the packed path is
-  /// measured and tested against (both equal the SurvivorSum oracle of
-  /// alp/pushdown.h bit for bit).
-  kDecodeThenFilter,
-};
+using exec::FilterMode;
 
 /// FILTER + SUM: SUM(x) WHERE lo <= x <= hi. ALP columns push the predicate
 /// down to the per-vector zone maps and skip decoding disjoint vectors (the
-/// paper's skippability advantage); block-based storage must decode whole
+/// paper's skippability advantage) — out of core, a rowgroup with no
+/// surviving vector is never fetched; block-based storage must decode whole
 /// rowgroups. `vectors_skipped` in the result reports the push-down effect.
 QueryResult RunFilterSum(const StoredColumn& column, double lo, double hi,
                          ThreadPool& pool, const OpContext* ctx = nullptr);
@@ -107,7 +98,8 @@ QueryResult RunFilterSum(const StoredColumn& column, const Predicate& pred,
 
 /// MIN/MAX aggregate. ALP columns answer from the zone maps alone - zero
 /// vectors decoded (vectors_skipped == all) - while every other storage
-/// scheme must materialize the data. NaNs are ignored, SQL-style.
+/// scheme must materialize the data. NaNs are ignored, SQL-style; a tie
+/// (+0.0 against -0.0) keeps the value first in row order.
 QueryResult RunMinMax(const StoredColumn& column, ThreadPool& pool, double* min_out,
                       double* max_out, const OpContext* ctx = nullptr);
 

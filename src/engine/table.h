@@ -47,15 +47,21 @@ class Table {
 /// selection vectors and late materialization.
 ///
 /// The filter column's zone maps prune vectors before *any* column is
-/// decoded. Under FilterMode::kAuto an ALP filter column is then evaluated
+/// decoded, and a rowgroup with no surviving vector is never read from any
+/// column. Under FilterMode::kAuto an ALP filter column is then evaluated
 /// directly on its FFOR-packed lanes (alp/pushdown.h) into a 1024-bit
 /// selection bitmap — the filter column itself is never decoded — and only
 /// the surviving lanes of `a` and `b` are materialized, via the gather
 /// kernel when those columns are FFOR-packed. A vector with zero survivors
-/// costs one packed compare and no decode in any column. Results are
-/// bit-identical to the decode-then-filter loop (survivor products are
-/// accumulated in ascending index order; see pushdown.h for the proof).
-/// Columns must be ALP or Uncompressed (vector-addressable storage).
+/// costs one packed compare and no decode in any column, and `a` and `b`
+/// are read (fetched or decompressed) only for a rowgroup in which some
+/// vector selects a row. Results are bit-identical to the decode-then-
+/// filter loop (survivor products are accumulated in ascending index
+/// order; see pushdown.h for the proof).
+/// Columns may use any storage (exec::DotSumRowgroup, alp/executor.h), with
+/// the same bits on every one.
+/// An unknown column name returns kNotFound, and columns of different
+/// lengths kInvalidArgument.
 /// `vectors_skipped` counts vectors never decoded in any column;
 /// `vectors_packed_eval` counts filter vectors evaluated on packed lanes.
 /// Runs on the engine's morsel loop (one partial per rowgroup, folded in

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <cstring>
 #include <mutex>
 #include <unordered_map>
 
@@ -23,13 +24,6 @@ std::atomic<uint64_t> g_next_column_id{1};
 
 /// sizeof(ColumnHeader): the fixed prefix that sizes the index region.
 constexpr size_t kColumnHeaderBytes = 24;
-
-/// Chunk-open and chunk-decode Statuses carry chunk-relative offsets;
-/// rebase them onto the file so diagnostics match the in-memory reader's.
-Status RebaseOffset(Status s, uint64_t chunk_base) {
-  if (s.ok() || s.offset() == Status::kNoOffset) return s;
-  return Status(s.code(), s.message(), s.offset() + chunk_base);
-}
 
 #if ALP_OBS
 obs::Counter& ChunkReadCounter() {
@@ -56,12 +50,6 @@ obs::Gauge& PrefetchDepthGauge() {
   static obs::Gauge& g =
       obs::MetricRegistry::Global().GetGauge("io.prefetch.depth");
   return g;
-}
-
-/// The flight recorder of the request \p ctx belongs to, if any.
-obs::FlightRecorder* RecorderOf(const OpContext* ctx) {
-  return ctx != nullptr && ctx->request != nullptr ? ctx->request->recorder
-                                                   : nullptr;
 }
 #endif
 
@@ -204,24 +192,6 @@ SeekableReader<T>::SchedulePrefetch(size_t rg) const {
 }
 
 template <typename T>
-bool SeekableReader<T>::RowgroupWanted(size_t rg,
-                                       const VectorFilter* want) const {
-  if (RowgroupValueCount(rg) == 0) return false;
-  if (want == nullptr) return true;
-  const size_t first_vector = rg * kRowgroupVectors;
-  for (size_t lv = 0, vectors = RowgroupVectorCount(rg); lv < vectors; ++lv) {
-    if ((*want)(first_vector + lv)) return true;
-  }
-  return false;
-}
-
-template <typename T>
-size_t SeekableReader<T>::RowgroupVectorCount(size_t rg) const {
-  return static_cast<size_t>((RowgroupValueCount(rg) + kVectorSize - 1) /
-                             kVectorSize);
-}
-
-template <typename T>
 Status SeekableReader<T>::AcquireChunk(
     size_t rg, const std::shared_ptr<PrefetchSlot>& prefetched,
     const OpContext* ctx, std::shared_ptr<const Chunk>* chunk) const {
@@ -231,7 +201,9 @@ Status SeekableReader<T>::AcquireChunk(
   }
   // Per-request attribution: every cache decision and chunk load is
   // credited to the owning request's flight recorder.
-  ALP_OBS_ONLY(obs::FlightRecorder* recorder = RecorderOf(ctx));
+  ALP_OBS_ONLY(obs::FlightRecorder* recorder =
+                   ctx != nullptr && ctx->request != nullptr ? ctx->request->recorder
+                                                             : nullptr);
   DecodedVectorCache* cache = options_.cache;
   const bool caching = cache != nullptr && cache->capacity_bytes() > 0;
   if (caching) {
@@ -299,7 +271,13 @@ Status SeekableReader<T>::AcquireChunk(
     ALP_OBS_SPAN(open_span, "io.chunk_open", len);
     return ColumnReader<T>::OpenRowgroupChunk(bytes, len, RowgroupValueCount(rg));
   }();
-  if (!opened.ok()) return RebaseOffset(opened.status(), begin);
+  if (!opened.ok()) {
+    // Its offsets are chunk-relative: rebase them onto the file, so
+    // diagnostics match the in-memory reader's.
+    const Status& o = opened.status();
+    if (o.offset() == Status::kNoOffset) return o;
+    return Status(o.code(), o.message(), o.offset() + begin);
+  }
   // Moving `owned` into the entry keeps its heap buffer, which the opened
   // reader points into.
   auto entry = std::make_shared<const Chunk>(std::move(owned), std::move(pinned),
@@ -310,120 +288,26 @@ Status SeekableReader<T>::AcquireChunk(
 }
 
 template <typename T>
-Status SeekableReader<T>::DecodeChunkVectors(const Chunk& chunk, size_t rg,
-                                             size_t lv_begin, size_t lv_end,
-                                             T* out,
-                                             const OpContext* ctx) const {
-  ALP_OBS_ONLY(obs::FlightRecorder* recorder = RecorderOf(ctx));
-  for (size_t lv = lv_begin; lv < lv_end; ++lv) {
-    Status ds = chunk.reader.TryDecodeVector(
-        lv, out + (lv - lv_begin) * kVectorSize, ctx);
-    if (!ds.ok()) {
-      return RebaseOffset(std::move(ds), index_.rowgroup_offsets[rg]);
-    }
-    ALP_OBS_ONLY({
-      if (recorder != nullptr) {
-        // ALP exceptions patched in this vector — the per-request cousin of
-        // the aggregate exceptions-per-vector histogram. The header is
-        // re-read only for recorded requests.
-        recorder->Count("decode.exceptions", chunk.reader.VectorExceptionCount(lv));
-      }
-    });
-  }
-  return Status::Ok();
-}
-
-template <typename T>
-Status SeekableReader<T>::VisitRowgroupImpl(
-    size_t rg, const std::shared_ptr<PrefetchSlot>& prefetched,
-    const Visitor& visit, const OpContext* ctx,
-    const VectorFilter* want) const {
-  const size_t first_vector = rg * kRowgroupVectors;
-  std::shared_ptr<const Chunk> chunk;
-  alignas(64) T values[kVectorSize];
-  for (size_t lv = 0, vectors = RowgroupVectorCount(rg); lv < vectors; ++lv) {
-    const size_t v = first_vector + lv;
-    if (want != nullptr && !(*want)(v)) continue;
-    if (chunk == nullptr) {
-      Status s = AcquireChunk(rg, prefetched, ctx, &chunk);
-      if (!s.ok()) return s;
-    }
-    Status ds = DecodeChunkVectors(*chunk, rg, lv, lv + 1, values, ctx);
-    if (!ds.ok()) return ds;
-    Status vs = visit(v, values, VectorLength(v));
-    if (!vs.ok()) return vs;
-  }
-  return Status::Ok();
-}
-
-template <typename T>
-Status SeekableReader<T>::VisitRowgroup(size_t rg, const Visitor& visit,
-                                        const OpContext* ctx,
-                                        const VectorFilter* want) const {
-  if (rg >= rowgroup_count()) {
-    return Status::Corrupt("rowgroup index out of range");
-  }
-  return VisitRowgroupImpl(rg, nullptr, visit, ctx, want);
-}
-
-template <typename T>
-Status SeekableReader<T>::FilterSumRowgroup(size_t rg,
-                                            const TranslatedPredicate& pred,
-                                            double* sum,
-                                            pushdown::VectorCounters* counters,
-                                            const OpContext* ctx) const {
+Status SeekableReader<T>::FilterSumRowgroup(
+    size_t rg, [[maybe_unused]] const TranslatedPredicate& pred,
+    [[maybe_unused]] double* sum,
+    [[maybe_unused]] pushdown::VectorCounters* counters,
+    [[maybe_unused]] const OpContext* ctx) const {
   if (rg >= rowgroup_count()) {
     return Status::Corrupt("rowgroup index out of range");
   }
   if constexpr (sizeof(T) != 8) {
-    (void)pred;
-    (void)sum;
-    (void)counters;
-    (void)ctx;
     return Status::InvalidArgument(
         "compressed-domain filter requires a double column");
   } else {
-    const size_t first_vector = rg * kRowgroupVectors;
-    std::shared_ptr<const Chunk> chunk;
-    pushdown::EvalScratch scratch;
-    for (size_t lv = 0, vectors = RowgroupVectorCount(rg); lv < vectors; ++lv) {
-      const size_t v = first_vector + lv;
-      if (ctx != nullptr) {
-        Status cs = ctx->Check();
-        if (!cs.ok()) return cs;
-      }
-      // Zone-map push-down from the resident index region: a vector (or a
-      // whole rowgroup) whose [min, max] misses the closed envelope is
-      // never fetched, let alone decoded.
-      if (!index_.stats[v].MayContain(pred.pred().lo, pred.pred().hi)) {
-        ++counters->skipped;
-        pushdown::NoteSkippedVectors(1);
-        continue;
-      }
-      if (chunk == nullptr) {
-        Status s = AcquireChunk(rg, nullptr, ctx, &chunk);
-        if (!s.ok()) return s;
-      }
-      const ColumnReader<T>& reader = chunk->reader;
-      // Full-inside fast path: the resident zone map proves every value
-      // qualifies (valid only for ALP vectors with zero exceptions — see
-      // pushdown::ZoneFullInside); decode and sum without the predicate.
-      if (reader.VectorScheme(lv) == Scheme::kAlp &&
-          reader.VectorExceptionCount(lv) == 0 &&
-          pushdown::ZoneFullInside(index_.stats[v], pred.pred())) {
-        ++counters->full_inside;
-        pushdown::NoteFullInsideVector();
-        Status ds = DecodeChunkVectors(*chunk, rg, lv, lv + 1, scratch.values, ctx);
-        if (!ds.ok()) return ds;
-        *sum += pushdown::StripedSumAll(scratch.values, VectorLength(v));
-        continue;
-      }
-      // Packed-lane evaluation (or per-vector decode-then-filter fallback)
-      // inside the verified chunk. The chunk passed OpenRowgroupChunk's
-      // structural walk, so the trusted per-vector paths are safe here.
-      pushdown::FilterSumVector(reader, lv, pred, &scratch, sum, counters);
-    }
-    return Status::Ok();
+    // The source borrows this reader through an aliasing pointer that owns
+    // nothing.
+    const SeekableSource source({std::shared_ptr<const void>(), this});
+    exec::Scratch scratch;
+    Status s = exec::FilterSumRowgroup(source, rg, pred, exec::FilterMode::kAuto, ctx,
+                                       &scratch, sum);
+    *counters += scratch.counters;
+    return s;
   }
 }
 
@@ -437,52 +321,55 @@ Status SeekableReader<T>::TryDecodeVector(size_t v, T* out,
   if (v >= vector_count()) {
     return Status::Corrupt("vector index out of range");
   }
-  const size_t rg = v / kRowgroupVectors;
-  const size_t lv = v % kRowgroupVectors;
-  std::shared_ptr<const Chunk> chunk;
-  Status s = AcquireChunk(rg, nullptr, ctx, &chunk);
-  if (!s.ok()) return s;
-  return DecodeChunkVectors(*chunk, rg, lv, lv + 1, out, ctx);
-}
-
-template <typename T>
-Status SeekableReader<T>::TryDecodeRowgroup(size_t rg, T* out,
-                                            const OpContext* ctx) const {
-  if (rg >= rowgroup_count()) {
-    return Status::Corrupt("rowgroup index out of range");
+  if constexpr (sizeof(T) == 8) {
+    // The executor's point lookup, the one the server runs.
+    const SeekableSource source({std::shared_ptr<const void>(), this});
+    exec::Scratch scratch;
+    return exec::ReadVector(source, v, ctx, &scratch, out);
+  } else {
+    const size_t rg = v / kRowgroupVectors;
+    std::shared_ptr<const Chunk> chunk;
+    Status s = AcquireChunk(rg, nullptr, ctx, &chunk);
+    if (!s.ok()) return s;
+    return exec::DecodeChunkVector(chunk->reader, v % kRowgroupVectors,
+                                   index_.rowgroup_offsets[rg], ctx, out);
   }
-  if (RowgroupValueCount(rg) == 0) return Status::Ok();
-  std::shared_ptr<const Chunk> chunk;
-  Status s = AcquireChunk(rg, nullptr, ctx, &chunk);
-  if (!s.ok()) return s;
-  return DecodeChunkVectors(*chunk, rg, 0, RowgroupVectorCount(rg), out, ctx);
 }
 
 template <typename T>
 Status SeekableReader<T>::TryDecodeAll(T* out, const OpContext* ctx) const {
-  return ForEachRowgroup(
-      nullptr, [&](size_t rg, const std::shared_ptr<PrefetchSlot>& slot) {
-        std::shared_ptr<const Chunk> chunk;
-        Status s = AcquireChunk(rg, slot, ctx, &chunk);
-        if (!s.ok()) return s;
-        return DecodeChunkVectors(*chunk, rg, 0, RowgroupVectorCount(rg),
-                                  out + rg * kRowgroupSize, ctx);
-      });
+  return Scan(
+      [out](size_t v, const T* values, unsigned len) {
+        std::memcpy(out + v * kVectorSize, values, len * sizeof(T));
+        return Status::Ok();
+      },
+      ctx);
 }
 
 template <typename T>
-Status SeekableReader<T>::Scan(const Visitor& visit, const OpContext* ctx,
-                               const VectorFilter* want) const {
+Status SeekableReader<T>::Scan(const Visitor& visit, const OpContext* ctx) const {
   return ForEachRowgroup(
-      want, [&](size_t rg, const std::shared_ptr<PrefetchSlot>& slot) {
-        return VisitRowgroupImpl(rg, slot, visit, ctx, want);
+      [&](size_t rg, const std::shared_ptr<PrefetchSlot>& slot) {
+        std::shared_ptr<const Chunk> chunk;
+        Status s = AcquireChunk(rg, slot, ctx, &chunk);
+        alignas(64) T values[kVectorSize];
+        const size_t first = rg * kRowgroupVectors;
+        const size_t end = std::min(vector_count(), first + kRowgroupVectors);
+        for (size_t v = first; s.ok() && v < end; ++v) {
+          if (ctx != nullptr) s = ctx->Check();
+          if (s.ok()) {
+            s = exec::DecodeChunkVector(chunk->reader, v - first,
+                                        index_.rowgroup_offsets[rg], ctx, values);
+          }
+          if (s.ok()) s = visit(v, values, VectorLength(v));
+        }
+        return s;
       });
 }
 
 template <typename T>
 template <typename Fn>
-Status SeekableReader<T>::ForEachRowgroup(const VectorFilter* want,
-                                          Fn&& fn) const {
+Status SeekableReader<T>::ForEachRowgroup(Fn&& fn) const {
   ALP_OBS_SPAN(scan_span, "io.scan", index_.value_count);
   const size_t rowgroups = rowgroup_count();
   const size_t window =
@@ -499,13 +386,13 @@ Status SeekableReader<T>::ForEachRowgroup(const VectorFilter* want,
   Status result;
   size_t horizon = 0;  ///< Rowgroups [0, horizon) already considered.
   for (size_t rg = 0; rg < rowgroups; ++rg) {
-    if (!RowgroupWanted(rg, want)) continue;
+    if (RowgroupValueCount(rg) == 0) continue;
     if (window > 0) {
-      // Keep the next `window` wanted rowgroups beyond rg in flight.
+      // Keep the next `window` non-empty rowgroups beyond rg in flight.
       if (horizon < rg + 1) horizon = rg + 1;
       const size_t limit = std::min(rowgroups, rg + window + 1);
       for (; horizon < limit; ++horizon) {
-        if (!RowgroupWanted(horizon, want)) continue;
+        if (RowgroupValueCount(horizon) == 0) continue;
         std::shared_ptr<PrefetchSlot> slot = SchedulePrefetch(horizon);
         if (slot != nullptr) inflight.emplace(horizon, std::move(slot));
       }
@@ -532,5 +419,22 @@ Status SeekableReader<T>::ForEachRowgroup(const VectorFilter* want,
 
 template class SeekableReader<double>;
 template class SeekableReader<float>;
+
+SeekableSource::SeekableSource(std::shared_ptr<const SeekableReader<double>> reader)
+    : exec::VectorSource(reader->value_count(), reader->index().stats.data()),
+      reader_(std::move(reader)) {}
+
+Status SeekableSource::Lend(size_t rg, const OpContext* ctx, AlignedBuffer<double>*,
+                            exec::RowgroupLease* lease) const {
+  std::shared_ptr<const SeekableReader<double>::Chunk> chunk;
+  Status s = reader_->AcquireChunk(rg, nullptr, ctx, &chunk);
+  if (!s.ok()) return s;
+  lease->reader = &chunk->reader;
+  lease->first_vector = 0;
+  lease->chunk = true;
+  lease->chunk_offset = reader_->index().rowgroup_offsets[rg];
+  lease->pin = std::move(chunk);
+  return Status::Ok();
+}
 
 }  // namespace alp::io

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "alp/column.h"
+#include "alp/executor.h"
 #include "alp/predicate.h"
 #include "alp/pushdown.h"
 #include "io/decoded_vector_cache.h"
@@ -139,28 +140,17 @@ class SeekableReader {
   /// Zone map entry for vector \p v — served from the index region, no
   /// chunk fetch.
   const VectorStats& Stats(size_t v) const { return index_.stats[v]; }
-  bool VectorMayContain(size_t v, double lo, double hi) const {
-    return index_.stats[v].MayContain(lo, hi);
-  }
 
   /// Receives each decoded vector in ascending order: \p values holds
   /// \p len values and is valid only during the call. A non-OK return
   /// aborts the scan and is returned as-is.
   using Visitor = std::function<Status(size_t v, const T* values, unsigned len)>;
 
-  /// Vector-selection predicate for filtered scans (zone-map push-down):
-  /// vectors where it returns false are neither fetched nor decoded, and a
-  /// rowgroup none of whose vectors are wanted is never touched at all.
-  using VectorFilter = std::function<bool(size_t v)>;
-
   /// Point lookup: decodes vector \p v into \p out (room for
   /// VectorLength(v) values), touching only its rowgroup — or no storage
-  /// at all on a cache hit.
+  /// at all on a cache hit. For doubles this is the executor's ReadVector
+  /// (alp/executor.h) over a SeekableSource of this reader.
   Status TryDecodeVector(size_t v, T* out, const OpContext* ctx = nullptr) const;
-
-  /// Decodes all of rowgroup \p rg contiguously into \p out with at most
-  /// one chunk fetch (none on a cache hit).
-  Status TryDecodeRowgroup(size_t rg, T* out, const OpContext* ctx = nullptr) const;
 
   /// Full-column decode into \p out (room for value_count() values);
   /// byte-identical to ColumnReader::TryDecodeAll on the same file.
@@ -168,25 +158,15 @@ class SeekableReader {
 
   /// Streaming scan: rowgroups are fetched (and, with a pool, prefetched
   /// ahead) one at a time, so peak memory is the index region plus the
-  /// prefetch window — never the whole column. \p want as in VectorFilter
-  /// (null scans everything).
-  Status Scan(const Visitor& visit, const OpContext* ctx = nullptr,
-              const VectorFilter* want = nullptr) const;
+  /// prefetch window — never the whole column.
+  Status Scan(const Visitor& visit, const OpContext* ctx = nullptr) const;
 
-  /// One rowgroup's worth of Scan (the serving layer's unit of work).
-  Status VisitRowgroup(size_t rg, const Visitor& visit,
-                       const OpContext* ctx = nullptr,
-                       const VectorFilter* want = nullptr) const;
-
-  /// Compressed-domain FILTER+SUM over rowgroup \p rg (double columns
-  /// only; non-double readers return kInvalidArgument). The resident zone
-  /// map drops disjoint vectors before any chunk fetch — a rowgroup none
-  /// of whose vectors qualify is never read — and surviving vectors are
-  /// evaluated on their FFOR-packed lanes inside the fetched chunk
-  /// (alp/pushdown.h), adding the rowgroup's partial (its vectors' striped
-  /// survivor sums, in vector order) to *sum, bit-identical to filtering
-  /// the decoded values. A cached chunk is evaluated the same way, in
-  /// place. \p counters accumulates the per-vector outcome mix.
+  /// Compressed-domain FILTER+SUM over rowgroup \p rg: the executor's
+  /// kAuto filter-sum body (alp/executor.h) over a SeekableSource of this
+  /// reader, adding the rowgroup's partial to *sum and the per-vector
+  /// outcome mix to \p counters. A rowgroup none of whose vectors pass the
+  /// resident zone map is never read. Non-double readers return
+  /// kInvalidArgument.
   Status FilterSumRowgroup(size_t rg, const TranslatedPredicate& pred,
                            double* sum, pushdown::VectorCounters* counters,
                            const OpContext* ctx = nullptr) const;
@@ -195,6 +175,7 @@ class SeekableReader {
   uint64_t RowgroupValueCount(size_t rg) const;
 
  private:
+  friend class SeekableSource;
   struct PrefetchSlot;
   struct Chunk;
 
@@ -215,32 +196,16 @@ class SeekableReader {
                       const OpContext* ctx,
                       std::shared_ptr<const Chunk>* chunk) const;
 
-  /// Decodes vectors [\p lv_begin, \p lv_end) of rowgroup \p rg (chunk-local
-  /// indexes) from \p chunk into \p out, contiguously.
-  Status DecodeChunkVectors(const Chunk& chunk, size_t rg, size_t lv_begin,
-                            size_t lv_end, T* out, const OpContext* ctx) const;
-
   /// Scan's rowgroup loop with the prefetch window: calls \p fn(rg, slot)
-  /// for every rowgroup with a wanted vector, in order, stopping at the
-  /// first non-OK Status.
+  /// for every non-empty rowgroup, in order, stopping at the first non-OK
+  /// Status.
   template <typename Fn>
-  Status ForEachRowgroup(const VectorFilter* want, Fn&& fn) const;
+  Status ForEachRowgroup(Fn&& fn) const;
 
   /// Schedules a background read of rowgroup \p rg; returns null when the
   /// pool refused (saturated or shutting down) — the caller falls back to
   /// a synchronous read.
   std::shared_ptr<PrefetchSlot> SchedulePrefetch(size_t rg) const;
-
-  Status VisitRowgroupImpl(size_t rg,
-                           const std::shared_ptr<PrefetchSlot>& prefetched,
-                           const Visitor& visit, const OpContext* ctx,
-                           const VectorFilter* want) const;
-
-  /// Whether any vector of rowgroup \p rg passes \p want.
-  bool RowgroupWanted(size_t rg, const VectorFilter* want) const;
-
-  /// Vectors in rowgroup \p rg.
-  size_t RowgroupVectorCount(size_t rg) const;
 
   std::shared_ptr<RandomAccessSource> source_;
   SeekableReaderOptions options_;
@@ -251,6 +216,24 @@ class SeekableReader {
   /// column_label); null when unlabeled or ALP_OBS is off.
   obs::Counter* labeled_cache_hits_ = nullptr;
   obs::Counter* labeled_cache_misses_ = nullptr;
+};
+
+/// The executor's view of a double column read out of core
+/// (alp/executor.h): zone stats come from the reader's resident index
+/// region; Lend acquires the rowgroup's verified chunk (cache, or fetch →
+/// verify → open) and lends its reader with chunk-local vector indexes,
+/// polled and decoded through the column.decode_vector fault site per
+/// vector. The executor lends only rowgroups with a zone-map survivor, so
+/// a zone-disjoint rowgroup is never fetched.
+class SeekableSource final : public exec::VectorSource {
+ public:
+  explicit SeekableSource(std::shared_ptr<const SeekableReader<double>> reader);
+
+  Status Lend(size_t rg, const OpContext* ctx, AlignedBuffer<double>* buffer,
+              exec::RowgroupLease* lease) const override;
+
+ private:
+  std::shared_ptr<const SeekableReader<double>> reader_;
 };
 
 }  // namespace alp::io

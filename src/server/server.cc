@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "alp/constants.h"
+#include "alp/executor.h"
 #include "alp/kernel_dispatch.h"
 #include "alp/predicate.h"
 #include "alp/pushdown.h"
@@ -147,14 +149,16 @@ Status Server::AddColumn(const std::string& name, const double* data,
 
 Status Server::AddColumn(const std::string& name,
                          engine::StoredColumn column) {
-  if (column.AlpReader() == nullptr) {
-    return Status::Corrupt("server catalog requires ALP columns");
-  }
   // Every catalog column serves through the out-of-core reader: chunked,
   // checksum-verified reads sharing one chunk cache. A capacity-0 cache
   // (cache_bytes = 0) keeps the chunked path but caches nothing.
+  // EnableSeekable is a no-op for any column that is not in the ALP column
+  // format (a block codec named "ALP" included), so those are refused here.
   Status seekable = column.EnableSeekable(&cache_, name);
   if (!seekable.ok()) return seekable;
+  if (!column.seekable()) {
+    return Status::Corrupt("server catalog requires ALP columns");
+  }
   auto shared =
       std::make_shared<const engine::StoredColumn>(std::move(column));
   std::lock_guard<std::mutex> lock(mutex_);
@@ -439,122 +443,76 @@ Response Server::ExecuteOnColumn(const Request& request,
   response.status = fault::Check("server.request_io");
   if (!response.status.ok()) return response;
 
-  // Every catalog column executes through the out-of-core SeekableReader:
-  // chunk fetch → checksum verify → structural open → bounds-checked decode,
-  // with hot verified chunks served from the shared cache (when the server
-  // was configured with a cache budget), decoded or packed-evaluated in
-  // place.
-  const io::SeekableReader<double>* seekable = column.Seekable();
-  if (seekable == nullptr) {
-    // AddColumn rejects non-ALP columns and fails on EnableSeekable errors,
-    // so this is an internal invariant.
-    response.status = Status::Corrupt("catalog column has no seekable reader");
-    return response;
-  }
+  // Every catalog column executes through its out-of-core source: chunk
+  // fetch → checksum verify → structural open → bounds-checked decode, with
+  // hot verified chunks served from the shared cache (when the server was
+  // configured with a cache budget), decoded or packed-evaluated in place.
+  // The executor's per-rowgroup bodies (alp/executor.h) run in a serial
+  // rowgroup loop: requests already occupy pool_ workers, so they must not
+  // re-enter the pool. Partials fold in rowgroup order, the engine's fold.
+  const exec::VectorSource& source = column.source();
+  exec::Scratch scratch;
 
   // All results below are staged in locals and published into the Response
   // only when the full decode came back OK — a cancelled, deadline-missed
   // or faulted request returns nothing but its Status.
   switch (request.query_class) {
     case QueryClass::kPointLookup: {
-      if (request.vector_index >= seekable->vector_count()) {
+      if (request.vector_index >= source.vector_count()) {
         response.status = Status::NotFound("vector index out of range");
         return response;
       }
       alignas(64) double buffer[kVectorSize];
       response.status =
-          seekable->TryDecodeVector(request.vector_index, buffer, &ctx);
+          exec::ReadVector(source, request.vector_index, &ctx, &scratch, buffer);
       if (!response.status.ok()) return response;
-      const unsigned len = seekable->VectorLength(request.vector_index);
+      const unsigned len = source.VectorLength(request.vector_index);
       response.values.assign(buffer, buffer + len);
       response.sum = pushdown::StripedSumAll(buffer, len);
       response.tuples = len;
       return response;
     }
     case QueryClass::kAggregate: {
-      double sum = 0.0;
-      size_t tuples = 0;
+      // FILTER+SUM evaluates in the compressed domain: one predicate
+      // translation serves the whole request, the resident zone map drops
+      // disjoint vectors (and whole rowgroups) before any chunk fetch, and
+      // survivors are compared on their FFOR-packed lanes.
+      std::optional<TranslatedPredicate> tp;
       if (request.has_filter) {
-        // Compressed-domain FILTER+SUM: one predicate translation serves
-        // the whole request; each rowgroup is then evaluated through
-        // FilterSumRowgroup — the resident zone map drops disjoint vectors
-        // before any chunk fetch, survivors are compared on their
-        // FFOR-packed lanes, and the result is bit-identical to the
-        // decode-then-filter loop this replaced.
-        const TranslatedPredicate tp(
-            Predicate::Between(request.filter_lo, request.filter_hi));
-        // `tuples` keeps its historical meaning: values in vectors that
-        // passed the zone map (counted from the resident index, no I/O).
-        for (size_t v = 0; v < seekable->vector_count(); ++v) {
-          if (seekable->VectorMayContain(v, request.filter_lo,
-                                         request.filter_hi)) {
-            tuples += seekable->VectorLength(v);
-          }
-        }
-        // Rowgroup partials folded in rowgroup order: the engine's fold.
-        pushdown::VectorCounters counters;
-        for (size_t rg = 0; rg < seekable->rowgroup_count(); ++rg) {
-          double partial = 0.0;
-          response.status =
-              seekable->FilterSumRowgroup(rg, tp, &partial, &counters, &ctx);
-          if (!response.status.ok()) return response;
-          sum += partial;
-        }
-        response.sum = sum;
-        response.tuples = tuples;
-        response.vectors_skipped = counters.skipped;
-        response.vectors_packed_eval = counters.packed_eval;
-        return response;
+        tp.emplace(Predicate::Between(request.filter_lo, request.filter_hi));
       }
-      // Unfiltered SUM: streaming scan, polling ctx and the decode fault
-      // site per vector like the in-memory TryDecodeVector loop. Vectors
-      // arrive in order; each rowgroup's partial (its vectors' striped
-      // sums) is folded into the query sum when the next rowgroup starts —
-      // the engine's RunSum order.
-      double partial = 0.0;
-      size_t partial_rg = 0;
-      response.status = seekable->Scan(
-          [&](size_t v, const double* values, unsigned len) {
-            if (v / kRowgroupVectors != partial_rg) {
-              sum += partial;
-              partial = 0.0;
-              partial_rg = v / kRowgroupVectors;
-            }
-            partial += pushdown::StripedSumAll(values, len);
-            tuples += len;
-            return Status::Ok();
-          },
-          &ctx);
-      if (!response.status.ok()) return response;
-      response.sum = sum + partial;
-      response.tuples = tuples;
+      double sum = 0.0;
+      for (size_t rg = 0; rg < source.rowgroup_count(); ++rg) {
+        double partial = 0.0;
+        response.status =
+            tp ? exec::FilterSumRowgroup(source, rg, *tp, exec::FilterMode::kAuto,
+                                         &ctx, &scratch, &partial)
+               : exec::SumRowgroup(source, rg, &ctx, &scratch, &partial);
+        if (!response.status.ok()) return response;
+        sum += partial;
+      }
+      response.sum = sum;
+      response.tuples = source.value_count();
+      response.vectors_skipped = scratch.counters.skipped;
+      response.vectors_packed_eval = scratch.counters.packed_eval;
       return response;
     }
     case QueryClass::kScan: {
       // Same hand-off checksum as the engine's scan operator: the first
       // value of every vector, added in vector order, so the decode is
-      // consumed. Without return_values the scan streams vector by vector
-      // and never holds the decoded column.
+      // consumed. Without return_values the scan decodes vector by vector
+      // into scratch and never holds the decoded column.
       double checksum = 0.0;
-      if (request.return_values) {
-        std::vector<double> values(seekable->value_count());
-        response.status = seekable->TryDecodeAll(values.data(), &ctx);
-        if (!response.status.ok()) return response;
-        for (size_t v = 0; v < values.size(); v += kVectorSize) {
-          checksum += values[v];
-        }
-        response.values = std::move(values);
-      } else {
-        response.status = seekable->Scan(
-            [&checksum](size_t, const double* values, unsigned) {
-              checksum += values[0];
-              return Status::Ok();
-            },
-            &ctx);
+      std::vector<double> values(request.return_values ? source.value_count() : 0);
+      for (size_t rg = 0; rg < source.rowgroup_count(); ++rg) {
+        response.status = exec::ScanRowgroup(
+            source, rg, &ctx, &scratch,
+            values.empty() ? nullptr : values.data() + rg * kRowgroupSize, &checksum);
         if (!response.status.ok()) return response;
       }
+      response.values = std::move(values);
       response.sum = checksum;
-      response.tuples = seekable->value_count();
+      response.tuples = source.value_count();
       return response;
     }
   }

@@ -51,12 +51,13 @@
 ///
 /// Execution: workers run as long-lived loop tasks on an owned
 /// alp::ThreadPool, popping the highest-priority non-empty class queue.
-/// Each request decodes through the fallible ColumnReader paths with its
-/// OpContext threaded through, so cancellation / deadline expiry stops
+/// Each request runs the executor's per-rowgroup bodies (alp/executor.h)
+/// over its column's out-of-core source in a serial rowgroup loop, with
+/// its OpContext threaded through, so cancellation / deadline expiry stops
 /// multi-rowgroup work mid-flight. Results are staged in worker-local
 /// buffers and published into the Response only when the decode Status is
 /// OK — a request that fails or is cancelled never exposes partial output.
-/// Requests never run *on top of* the engine's data-parallel operators
+/// Requests never run *on top of* the engine's data-parallel morsel loop
 /// (that would nest fork-join inside the serving pool and deadlock);
 /// parallelism here is across requests, which is what a serving tier wants.
 
@@ -200,7 +201,8 @@ class Server {
   /// \p name (replacing any previous column of that name).
   Status AddColumn(const std::string& name, const double* data, size_t n);
 
-  /// Registers an already-built stored column.
+  /// Registers an already-built stored column. Only the ALP column format
+  /// (MakeAlp) is served out of core; any other storage is kCorrupt.
   Status AddColumn(const std::string& name, engine::StoredColumn column);
 
   /// Admission + asynchronous execution. The future always resolves:

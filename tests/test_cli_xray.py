@@ -120,8 +120,10 @@ def main():
         # --- exit-code contract ------------------------------------------
         # Every Status class maps to its own documented exit code (see the
         # table in tools/alp_cli.cc): 2 usage, 10 TRUNCATED, 11 CORRUPT,
-        # 12 CHECKSUM_MISMATCH, 14 IO, 18 NOT_FOUND. Scripts branch on
-        # these, so they are part of the CLI's public interface.
+        # 12 CHECKSUM_MISMATCH, 14 IO, 18 NOT_FOUND, 19 INVALID_ARGUMENT.
+        # Scripts branch on these, so they are part of the CLI's public
+        # interface. No command reaches INVALID_ARGUMENT yet, so 19 has no
+        # case below.
         run(cli, [], expect_rc=2)                      # Usage error.
         run(cli, ["frobnicate"], expect_rc=2)          # Unknown command.
         missing = os.path.join(tmp, "missing.alp")

@@ -5,13 +5,16 @@
 // reader behind a shared chunk cache (cold, warm and capacity 0, over
 // memory, mmap and pread sources), and the server — and those bits are the
 // SurvivorSum contract computed straight from the raw values
-// (tests/test_fixtures.h). The data mixes ALP
+// (tests/test_fixtures.h). All three routes run the one executor
+// (alp/executor.h) over their column's VectorSource. MIN/MAX ties resolve
+// the same way on every storage kind and thread count. The data mixes ALP
 // rowgroups with exceptions and ALP_rd rowgroups, so the packed path, the
 // dense and sparse gathers, the full-inside fast path and the
 // decode-then-filter fallback all contribute to one sum.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
@@ -20,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "alp/executor.h"
+#include "codecs/codec.h"
 #include "engine/operators.h"
 #include "engine/table.h"
 #include "io/decoded_vector_cache.h"
@@ -199,8 +204,15 @@ std::vector<double> SeekableAnswers(const io::SeekableReader<double>& reader) {
   std::vector<double> answers(n);
   EXPECT_TRUE(reader.TryDecodeAll(answers.data()).ok());
   std::vector<double> buffer(kRowgroupSize);
+  // Each rowgroup through the executor's scan body; the source borrows
+  // the reader.
+  const io::SeekableSource source({std::shared_ptr<const void>(), &reader});
+  exec::Scratch scratch;
   for (size_t rg = 0; rg < reader.rowgroup_count(); ++rg) {
-    EXPECT_TRUE(reader.TryDecodeRowgroup(rg, buffer.data()).ok());
+    double checksum = 0.0;
+    EXPECT_TRUE(
+        exec::ScanRowgroup(source, rg, nullptr, &scratch, buffer.data(), &checksum)
+            .ok());
     answers.insert(answers.end(), buffer.begin(),
                    buffer.begin() + reader.RowgroupValueCount(rg));
   }
@@ -286,6 +298,15 @@ TEST_F(Determinism, DotSumEveryThreadCountAndMode) {
   table.AddColumn("f", StoredColumn::MakeAlp(data_->data(), n));
   table.AddColumn("a", StoredColumn::MakeAlp(a.data(), n));
   table.AddColumn("b", StoredColumn::MakeUncompressed(*data_));
+  // The same query with the ALP columns read out of core.
+  engine::Table seekable;
+  StoredColumn f = StoredColumn::MakeAlp(data_->data(), n);
+  StoredColumn sa = StoredColumn::MakeAlp(a.data(), n);
+  ASSERT_TRUE(f.EnableSeekable(cache_, "dot-f").ok());
+  ASSERT_TRUE(sa.EnableSeekable(cache_, "dot-a").ok());
+  seekable.AddColumn("f", std::move(f));
+  seekable.AddColumn("a", std::move(sa));
+  seekable.AddColumn("b", StoredColumn::MakeUncompressed(*data_));
   for (const Predicate& pred : kPredicates) {
     uint64_t want = 0;
     bool first = true;
@@ -293,12 +314,46 @@ TEST_F(Determinism, DotSumEveryThreadCountAndMode) {
       ThreadPool pool(threads);
       for (int repeat = 0; repeat < kRepeats / 4; ++repeat) {
         for (const FilterMode mode : {FilterMode::kAuto, FilterMode::kDecodeThenFilter}) {
-          const QueryResult r =
-              engine::RunFilteredDotSum(table, "f", pred, "a", "b", pool, nullptr, mode);
-          ASSERT_TRUE(r.status.ok());
-          if (first) want = BitsOf(r.sum), first = false;
-          ASSERT_EQ(BitsOf(r.sum), want) << threads << " threads, repeat " << repeat;
+          for (const engine::Table* t : {&table, &seekable}) {
+            const QueryResult r =
+                engine::RunFilteredDotSum(*t, "f", pred, "a", "b", pool, nullptr, mode);
+            ASSERT_TRUE(r.status.ok());
+            if (first) want = BitsOf(r.sum), first = false;
+            ASSERT_EQ(BitsOf(r.sum), want)
+                << threads << " threads, repeat " << repeat << ", "
+                << (t == &seekable ? "seekable" : "in-memory");
+          }
         }
+      }
+    }
+  }
+}
+
+TEST_F(Determinism, MinMaxFoldsInRowgroupOrderOnEveryStorage) {
+  // +0.0 fills rowgroup 0 and -0.0 rowgroups 1-15: every rowgroup ties on
+  // MIN and on MAX, and the answer must be the value that comes first in
+  // row order (+0.0) whichever worker finishes first.
+  std::vector<double> zeros(16 * kRowgroupSize, -0.0);
+  std::fill(zeros.begin(), zeros.begin() + kRowgroupSize, 0.0);
+  const StoredColumn alp = StoredColumn::MakeAlp(zeros.data(), zeros.size());
+  const StoredColumn raw = StoredColumn::MakeUncompressed(zeros);
+  const StoredColumn zstd =
+      StoredColumn::MakeCodec(codecs::MakeZstd(), zeros.data(), zeros.size());
+  ThreadPool one(1);
+  double want_min = 1.0, want_max = 1.0;
+  ASSERT_TRUE(engine::RunMinMax(alp, one, &want_min, &want_max).status.ok());
+  EXPECT_EQ(BitsOf(want_min), BitsOf(0.0));
+  EXPECT_EQ(BitsOf(want_max), BitsOf(0.0));
+  for (const unsigned threads : kThreadCounts) {
+    ThreadPool pool(threads);
+    for (int repeat = 0; repeat < kRepeats / 4; ++repeat) {
+      for (const StoredColumn* column : {&raw, &zstd, &alp}) {
+        double min = 1.0, max = 1.0;
+        ASSERT_TRUE(engine::RunMinMax(*column, pool, &min, &max).status.ok());
+        ASSERT_EQ(BitsOf(min), BitsOf(want_min))
+            << threads << " threads, repeat " << repeat << ", " << column->scheme();
+        ASSERT_EQ(BitsOf(max), BitsOf(want_max))
+            << threads << " threads, repeat " << repeat << ", " << column->scheme();
       }
     }
   }

@@ -26,6 +26,22 @@ std::vector<double> TestData(size_t n) {
   return data;
 }
 
+/// Produces rowgroup \p rg of \p column into \p out through the
+/// executor's scan body.
+Status DecodeRowgroup(const StoredColumn& column, size_t rg, double* out) {
+  exec::Scratch scratch;
+  double checksum = 0.0;
+  return exec::ScanRowgroup(column.source(), rg, nullptr, &scratch, out, &checksum);
+}
+
+/// What the column's source lends for rowgroup \p rg.
+exec::RowgroupLease LeaseOf(const StoredColumn& column, size_t rg,
+                            AlignedBuffer<double>* buffer) {
+  exec::RowgroupLease lease;
+  EXPECT_TRUE(column.source().Lend(rg, nullptr, buffer, &lease).ok());
+  return lease;
+}
+
 double ExactSum(const std::vector<double>& data) {
   // The engine sums per rowgroup then across threads; summing per rowgroup
   // here keeps float association comparable.
@@ -44,12 +60,19 @@ TEST(StoredColumn, UncompressedBasics) {
   const auto column = StoredColumn::MakeUncompressed(data);
   EXPECT_EQ(column.scheme(), "Uncompressed");
   EXPECT_EQ(column.value_count(), data.size());
-  EXPECT_EQ(column.rowgroup_count(), 2u);
-  EXPECT_EQ(column.RowgroupLength(1), 500u);
-  ASSERT_NE(column.RowgroupPointer(0), nullptr);
+  EXPECT_EQ(column.source().rowgroup_count(), 2u);
+  EXPECT_EQ(column.source().RowgroupLength(1), 500u);
+  // Raw values are lent in place, with no zone map.
+  AlignedBuffer<double> buffer;
+  const exec::RowgroupLease lease = LeaseOf(column, 1, &buffer);
+  EXPECT_EQ(lease.reader, nullptr);
+  ASSERT_NE(lease.values, nullptr);
+  EXPECT_EQ(lease.values[0], data[kRowgroupSize]);
+  EXPECT_TRUE(buffer.empty());
+  EXPECT_EQ(column.source().zone_map(), nullptr);
 
   std::vector<double> out(kRowgroupSize);
-  ASSERT_TRUE(column.TryDecodeRowgroup(0, out.data()).ok());
+  ASSERT_TRUE(DecodeRowgroup(column, 0, out.data()).ok());
   EXPECT_EQ(out[123], data[123]);
 }
 
@@ -58,13 +81,17 @@ TEST(StoredColumn, AlpRoundTrip) {
   const auto column = StoredColumn::MakeAlp(data.data(), data.size());
   EXPECT_EQ(column.scheme(), "ALP");
   EXPECT_LT(column.compressed_bytes(), data.size() * sizeof(double));
-  EXPECT_EQ(column.RowgroupPointer(0), nullptr);
+  // ALP vectors are lent from the reader Open validated, with its zone map.
+  AlignedBuffer<double> buffer;
+  EXPECT_EQ(LeaseOf(column, 1, &buffer).reader, column.AlpReader());
+  EXPECT_EQ(LeaseOf(column, 1, &buffer).first_vector, kRowgroupVectors);
+  EXPECT_NE(column.source().zone_map(), nullptr);
 
   std::vector<double> out(kRowgroupSize);
-  for (size_t rg = 0; rg < column.rowgroup_count(); ++rg) {
-    ASSERT_TRUE(column.TryDecodeRowgroup(rg, out.data()).ok());
+  for (size_t rg = 0; rg < column.source().rowgroup_count(); ++rg) {
+    ASSERT_TRUE(DecodeRowgroup(column, rg, out.data()).ok());
     const size_t off = rg * kRowgroupSize;
-    for (unsigned i = 0; i < column.RowgroupLength(rg); ++i) {
+    for (unsigned i = 0; i < column.source().RowgroupLength(rg); ++i) {
       ASSERT_EQ(out[i], data[off + i]) << rg << ":" << i;
     }
   }
@@ -76,8 +103,8 @@ TEST(StoredColumn, CodecRoundTrip) {
       StoredColumn::MakeCodec(codecs::MakePatas(), data.data(), data.size());
   EXPECT_EQ(column.scheme(), "Patas");
   std::vector<double> out(kRowgroupSize);
-  ASSERT_TRUE(column.TryDecodeRowgroup(1, out.data()).ok());
-  for (unsigned i = 0; i < column.RowgroupLength(1); ++i) {
+  ASSERT_TRUE(DecodeRowgroup(column, 1, out.data()).ok());
+  for (unsigned i = 0; i < column.source().RowgroupLength(1); ++i) {
     ASSERT_EQ(out[i], data[kRowgroupSize + i]);
   }
 }
@@ -254,14 +281,16 @@ TEST(Operators, MinMaxFromZoneMapsIsExact) {
   }
 }
 
-// Regression guard: a seekable column keeps its in-memory ColumnReader, so
-// MIN/MAX folds the zone map and never fetches a chunk.
+// Regression guard: a seekable column's source serves the zone map from the
+// resident index region, so MIN/MAX folds it and never fetches a chunk.
 TEST(Operators, MinMaxOnSeekableColumnReadsOnlyTheResidentZoneMap) {
   const auto data = TestData(kRowgroupSize * 2 + 555);
   const auto in_memory = StoredColumn::MakeAlp(data.data(), data.size());
   auto seekable = StoredColumn::MakeAlp(data.data(), data.size());
   io::DecodedVectorCache cache(1 << 20);
   ASSERT_TRUE(seekable.EnableSeekable(&cache).ok());
+  // One source per column: the resident reader was replaced, not kept.
+  EXPECT_EQ(seekable.AlpReader(), nullptr);
 
   ThreadPool pool(2);
   double min_a = 0, max_a = 0, min_b = 0, max_b = 0;

@@ -1,14 +1,18 @@
 // Tests for the multi-column Table and the two-column filtered aggregate:
 // correctness against a scalar reference, zone-map pruning across columns,
-// mixed ALP/uncompressed storage, and cancellation / fault reporting.
+// the same bits over every storage kind (ALP in memory and out of core,
+// uncompressed, block codec), and cancellation / fault reporting.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
+#include <tuple>
 #include <vector>
 
+#include "codecs/codec.h"
 #include "engine/table.h"
+#include "io/decoded_vector_cache.h"
 #include "util/bits.h"
 #include "util/cancellation.h"
 #include "util/fault_injection.h"
@@ -54,6 +58,38 @@ TEST(Table, ColumnsByName) {
   EXPECT_NE(table.Column("time"), nullptr);
   EXPECT_EQ(table.Column("time")->scheme(), "ALP");
   EXPECT_EQ(table.Column("missing"), nullptr);
+}
+
+TEST(Table, FilteredDotSumRejectsUnknownColumns) {
+  const auto data = MakeData(kVectorSize);
+  Table table;
+  table.AddColumn("time", StoredColumn::MakeAlp(data.time.data(), data.time.size()));
+  table.AddColumn("price", StoredColumn::MakeUncompressed(data.price));
+  ThreadPool pool(1);
+  for (const auto& [f, a, b] : {std::tuple{"nope", "price", "price"},
+                                std::tuple{"time", "nope", "price"},
+                                std::tuple{"time", "price", "nope"}}) {
+    const QueryResult r = RunFilteredDotSum(table, f, Predicate::Between(0.0, 1e9), a,
+                                            b, pool);
+    EXPECT_EQ(r.status.code(), StatusCode::kNotFound) << f << a << b;
+  }
+}
+
+TEST(Table, FilteredDotSumRejectsColumnsOfDifferentLengths) {
+  // a and b are read at the filter column's row positions, so a shorter
+  // column would be read past its end.
+  const auto data = MakeData(kVectorSize * 4);
+  const std::vector<double> shorter(data.price.begin(), data.price.begin() + 1000);
+  Table table;
+  table.AddColumn("time", StoredColumn::MakeAlp(data.time.data(), data.time.size()));
+  table.AddColumn("price", StoredColumn::MakeUncompressed(data.price));
+  table.AddColumn("short", StoredColumn::MakeUncompressed(shorter));
+  ThreadPool pool(1);
+  const Predicate pred = Predicate::Between(0.0, 1e9);
+  EXPECT_EQ(RunFilteredDotSum(table, "time", pred, "price", "short", pool).status.code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(RunFilteredDotSum(table, "time", pred, "short", "price", pool).status.code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(Table, FilteredDotSumMatchesReference) {
@@ -115,12 +151,32 @@ TEST(Table, MixedStorageAgrees) {
   raw_table.AddColumn("p", StoredColumn::MakeUncompressed(data.price));
   raw_table.AddColumn("q", StoredColumn::MakeUncompressed(data.qty));
 
+  // The ALP columns read out of core, and a block codec (whole rowgroups
+  // decompressed before any vector is read).
+  io::DecodedVectorCache cache(1 << 20);
+  Table seekable_table;
+  Table zstd_table;
+  for (const auto& [name, values] :
+       {std::pair{"t", &data.time}, std::pair{"p", &data.price},
+        std::pair{"q", &data.qty}}) {
+    StoredColumn column = StoredColumn::MakeAlp(values->data(), values->size());
+    ASSERT_TRUE(column.EnableSeekable(&cache).ok());
+    seekable_table.AddColumn(name, std::move(column));
+    zstd_table.AddColumn(name, StoredColumn::MakeCodec(codecs::MakeZstd(),
+                                                       values->data(), values->size()));
+  }
+
   const QueryResult a = RunFilteredDotSum(alp_table, "t", lo, hi, "p", "q", pool);
   const QueryResult b = RunFilteredDotSum(raw_table, "t", lo, hi, "p", "q", pool);
   // Same survivors, same per-vector striped sums, same rowgroup fold.
   EXPECT_EQ(BitsOf(a.sum), BitsOf(b.sum));
   // Uncompressed filter column has no zone maps: nothing skipped.
   EXPECT_EQ(b.vectors_skipped, 0u);
+  for (const Table* table : {&seekable_table, &zstd_table}) {
+    const QueryResult r = RunFilteredDotSum(*table, "t", lo, hi, "p", "q", pool);
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_EQ(BitsOf(r.sum), BitsOf(a.sum));
+  }
 }
 
 TEST(Table, FilteredDotSumHonoursCancellationAndFaults) {

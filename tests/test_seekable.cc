@@ -5,9 +5,9 @@
 //
 // The load-bearing invariants proved here:
 //  - Byte identity: every seekable read path (point lookup, rowgroup,
-//    filtered scan, full scan) returns exactly the bytes the in-memory
-//    ColumnReader oracle returns, over memory, mmap and pread sources,
-//    for v3 and v2 columns, cached and uncached.
+//    full scan) returns exactly the bytes the in-memory ColumnReader
+//    oracle returns, over memory, mmap and pread sources, for v3 and v2
+//    columns, cached and uncached.
 //  - Status parity: a mutated or truncated file surfaces the same Status
 //    class through the seekable path as through the in-memory validator.
 //  - Corruption in an uncached chunk surfaces on first touch and never
@@ -18,6 +18,9 @@
 //    consistent.
 //  - Warm reads touch no storage: lookups, scans and filtered sums served
 //    from cached chunks make zero ReadAt calls.
+//  - Zone-map push-down never fetches: a rowgroup whose vectors are all
+//    zone-disjoint costs no source read and no io.chunk_read firing, in
+//    the executor, the engine (both filter modes) and the server.
 //
 // The LargeFile.* tests are the out-of-core CI proof: they stream-write a
 // column several times larger than the address-space rlimit the CI job
@@ -39,13 +42,18 @@
 
 #include "alp/alp.h"
 #include "alp/appender.h"
+#include "alp/executor.h"
 #include "alp/predicate.h"
 #include "data/datasets.h"
+#include "engine/operators.h"
+#include "engine/table.h"
 #include "io/decoded_vector_cache.h"
 #include "io/random_access_source.h"
 #include "io/seekable_reader.h"
 #include "obs/metrics.h"
+#include "server/server.h"
 #include "test_fixtures.h"
+#include "util/bits.h"
 #include "util/cancellation.h"
 #include "util/checksum.h"
 #include "util/fault_injection.h"
@@ -121,6 +129,16 @@ std::shared_ptr<RandomAccessSource> MakeSource(
     }
   }
   return nullptr;
+}
+
+/// Decodes rowgroup \p rg of \p reader contiguously into \p out: the
+/// executor's scan body over a SeekableSource of the reader.
+Status DecodeRowgroup(std::shared_ptr<const SeekableReader<double>> reader,
+                      size_t rg, double* out) {
+  const io::SeekableSource source(std::move(reader));
+  exec::Scratch scratch;
+  double checksum = 0.0;
+  return exec::ScanRowgroup(source, rg, nullptr, &scratch, out, &checksum);
 }
 
 std::shared_ptr<SeekableReader<double>> OpenSeekable(
@@ -279,7 +297,7 @@ TEST_P(SeekableOracleTest, RandomizedSeeksAreByteIdentical) {
       const size_t v = rng() % oracle->vector_count();
       const unsigned len = oracle->VectorLength(v);
       ASSERT_TRUE(oracle->TryDecodeVector(v, expect.data()).ok());
-      for (auto* reader : {cached.get(), uncached.get()}) {
+      for (const auto& reader : {cached, uncached}) {
         std::fill(got.begin(), got.end(), -1.0);
         ASSERT_TRUE(reader->TryDecodeVector(v, got.data()).ok());
         ASSERT_EQ(std::memcmp(got.data(), expect.data(), len * sizeof(double)),
@@ -303,8 +321,8 @@ TEST_P(SeekableOracleTest, RandomizedSeeksAreByteIdentical) {
                                           expect_rg.data() + lv * kVectorSize)
                         .ok());
       }
-      for (auto* reader : {cached.get(), uncached.get()}) {
-        ASSERT_TRUE(reader->TryDecodeRowgroup(rg, got_rg.data()).ok());
+      for (const auto& reader : {cached, uncached}) {
+        ASSERT_TRUE(DecodeRowgroup(reader, rg, got_rg.data()).ok());
         const uint64_t rg_values = reader->RowgroupValueCount(rg);
         for (size_t lv = 0; lv < count; ++lv) {
           const unsigned len = reader->VectorLength(first + lv);
@@ -329,39 +347,6 @@ TEST_P(SeekableOracleTest, RandomizedSeeksAreByteIdentical) {
     }
   }
   EXPECT_TRUE(cache.CheckInvariants());
-}
-
-TEST_P(SeekableOracleTest, FilteredScanMatchesOracleAndSkipsRowgroups) {
-  const Corpus& corpus = TwoRowgroups();
-  auto oracle =
-      ColumnReader<double>::Open(corpus.buffer.data(), corpus.buffer.size());
-  ASSERT_TRUE(oracle.ok());
-  auto reader =
-      OpenSeekable(MakeSource(GetParam(), corpus.buffer, "filter_scan"));
-  ASSERT_NE(reader, nullptr);
-
-  // Filter on the zone map exactly like the engine's FILTER operator.
-  const double lo = -100.0, hi = 100.0;
-  const SeekableReader<double>::VectorFilter want = [&](size_t v) {
-    return reader->VectorMayContain(v, lo, hi);
-  };
-  std::vector<size_t> visited;
-  std::vector<double> expect(kVectorSize);
-  Status s = reader->Scan(
-      [&](size_t v, const double* values, unsigned len) {
-        visited.push_back(v);
-        EXPECT_TRUE(oracle->TryDecodeVector(v, expect.data()).ok());
-        EXPECT_EQ(std::memcmp(values, expect.data(), len * sizeof(double)), 0);
-        return Status::Ok();
-      },
-      nullptr, &want);
-  ASSERT_TRUE(s.ok()) << s.ToString();
-  // The visited set is exactly the zone-map-qualified vectors, in order.
-  std::vector<size_t> qualified;
-  for (size_t v = 0; v < oracle->vector_count(); ++v) {
-    if (oracle->VectorMayContain(v, lo, hi)) qualified.push_back(v);
-  }
-  EXPECT_EQ(visited, qualified);
 }
 
 TEST_P(SeekableOracleTest, V2ColumnsDecodeIdentically) {
@@ -449,13 +434,12 @@ TEST(SeekableStatusParity, OutOfRangeIndexesMatchOracle) {
       oracle->TryDecodeVector(oracle->vector_count(), out.data());
   EXPECT_EQ(seekable_vec.code(), oracle_vec.code());
   EXPECT_EQ(seekable_vec.code(), StatusCode::kCorrupt);
-  EXPECT_EQ(reader->TryDecodeRowgroup(reader->rowgroup_count(), out.data())
-                .code(),
-            StatusCode::kCorrupt);
-  EXPECT_EQ(reader->VisitRowgroup(reader->rowgroup_count(),
-                                  [](size_t, const double*, unsigned) {
-                                    return Status::Ok();
-                                  })
+  double sum = 0.0;
+  pushdown::VectorCounters counters;
+  EXPECT_EQ(reader
+                ->FilterSumRowgroup(reader->rowgroup_count(),
+                                    TranslatedPredicate(Predicate::Between(0.0, 1.0)),
+                                    &sum, &counters)
                 .code(),
             StatusCode::kCorrupt);
 }
@@ -566,7 +550,7 @@ TEST(SeekableCorruption, UncachedChunkCorruptionSurfacesOnFirstTouch) {
 
   // Warm rowgroup 0 while the file is intact.
   std::vector<double> out(kRowgroupSize);
-  ASSERT_TRUE(reader->TryDecodeRowgroup(0, out.data()).ok());
+  ASSERT_TRUE(DecodeRowgroup(reader, 0, out.data()).ok());
   const uint64_t inserts_after_rg0 = cache.TotalStats().inserts;
   ASSERT_GT(inserts_after_rg0, 0u);
 
@@ -580,7 +564,7 @@ TEST(SeekableCorruption, UncachedChunkCorruptionSurfacesOnFirstTouch) {
   // First touch of the damaged chunk: checksum mismatch, and repeatably so.
   const size_t rg1_first_vector = 1 * kRowgroupVectors;
   for (int attempt = 0; attempt < 3; ++attempt) {
-    EXPECT_EQ(reader->TryDecodeRowgroup(1, out.data()).code(),
+    EXPECT_EQ(DecodeRowgroup(reader, 1, out.data()).code(),
               StatusCode::kChecksumMismatch);
     EXPECT_EQ(reader->TryDecodeVector(rg1_first_vector, out.data()).code(),
               StatusCode::kChecksumMismatch);
@@ -589,7 +573,7 @@ TEST(SeekableCorruption, UncachedChunkCorruptionSurfacesOnFirstTouch) {
   EXPECT_EQ(cache.TotalStats().inserts, inserts_after_rg0);
   EXPECT_TRUE(cache.CheckInvariants());
   // ...and rowgroup 0 still serves, from cache, byte-identically.
-  ASSERT_TRUE(reader->TryDecodeRowgroup(0, out.data()).ok());
+  ASSERT_TRUE(DecodeRowgroup(reader, 0, out.data()).ok());
   EXPECT_EQ(std::memcmp(out.data(), corpus.values.data(),
                         reader->RowgroupValueCount(0) * sizeof(double)),
             0);
@@ -597,7 +581,7 @@ TEST(SeekableCorruption, UncachedChunkCorruptionSurfacesOnFirstTouch) {
   // Heal the byte: the chunk decodes correctly — proof no poisoned entry
   // was left behind to satisfy the read.
   buffer[victim] ^= 0xFF;
-  ASSERT_TRUE(reader->TryDecodeRowgroup(1, out.data()).ok());
+  ASSERT_TRUE(DecodeRowgroup(reader, 1, out.data()).ok());
   EXPECT_EQ(std::memcmp(out.data(), corpus.values.data() + kRowgroupSize,
                         reader->RowgroupValueCount(1) * sizeof(double)),
             0);
@@ -637,10 +621,10 @@ TEST(SeekableCorruption, StructuralCorruptionPastChecksumNeverPoisons) {
   ASSERT_NE(reader, nullptr);
 
   std::vector<double> out(kRowgroupSize);
-  ASSERT_TRUE(reader->TryDecodeRowgroup(0, out.data()).ok());
+  ASSERT_TRUE(DecodeRowgroup(reader, 0, out.data()).ok());
   const uint64_t inserts_after_rg0 = cache.TotalStats().inserts;
 
-  EXPECT_EQ(reader->TryDecodeRowgroup(1, out.data()).code(),
+  EXPECT_EQ(DecodeRowgroup(reader, 1, out.data()).code(),
             StatusCode::kCorrupt);
   EXPECT_EQ(cache.TotalStats().inserts, inserts_after_rg0);
   EXPECT_TRUE(cache.CheckInvariants());
@@ -833,7 +817,7 @@ TEST(SeekableConcurrency, ConcurrentReadersShareOneCacheConsistently) {
         }
         // One full rowgroup read per thread for the multi-vector path.
         const size_t rg = t % reader->rowgroup_count();
-        if (!reader->TryDecodeRowgroup(rg, got.data()).ok() ||
+        if (!DecodeRowgroup(reader, rg, got.data()).ok() ||
             std::memcmp(got.data(),
                         corpus.values.data() + rg * kRowgroupSize,
                         reader->RowgroupValueCount(rg) * sizeof(double)) != 0) {
@@ -1098,7 +1082,7 @@ TEST(SeekableCache, WarmReadsMakeNoSourceReads) {
       EXPECT_TRUE(reader->TryDecodeVector(v, out.data()).ok());
     }
     for (size_t rg = 0; rg < reader->rowgroup_count(); ++rg) {
-      EXPECT_TRUE(reader->TryDecodeRowgroup(rg, out.data()).ok());
+      EXPECT_TRUE(DecodeRowgroup(reader, rg, out.data()).ok());
       double sum = 0.0;
       pushdown::VectorCounters counters;
       EXPECT_TRUE(reader->FilterSumRowgroup(rg, pred, &sum, &counters).ok());
@@ -1138,6 +1122,153 @@ TEST(SeekableCache, MemorySourceChunksAreVerifiedInPlace) {
               0);
   }
   EXPECT_EQ(source->reads(), after_open);
+}
+
+// Zone-map push-down never fetches: a rowgroup whose vectors are all
+// zone-disjoint from the predicate costs no source read and no
+// io.chunk_read firing — in the executor over a counting source, through
+// the engine's filter-sum in both modes, and through the server's filtered
+// aggregate. Every one runs the executor's filter-sum body, which lends a
+// rowgroup only once a vector of it survives the zone map.
+
+/// Three rowgroups of two-decimal values; the middle one lies far above the
+/// other two, so a predicate over their range excludes all its vectors.
+std::vector<double> DisjointMiddleRowgroup() {
+  std::mt19937_64 rng(306);
+  std::vector<double> values(3 * kRowgroupSize);
+  for (size_t i = 0; i < values.size(); ++i) {
+    const int64_t cents = static_cast<int64_t>(rng() % 1000000) - 500000;
+    values[i] = static_cast<double>(cents) / 100.0 + (i / kRowgroupSize == 1 ? 1e6 : 0.0);
+  }
+  return values;
+}
+
+const Predicate kAroundZero = Predicate::Between(-100.0, 100.0);
+
+TEST(ZoneSkip, DisjointRowgroupIsNeverReadByTheExecutor) {
+  FaultGuard guard;
+  const std::vector<double> values = DisjointMiddleRowgroup();
+  const std::vector<uint8_t> bytes = CompressColumn(values.data(), values.size());
+  // No views and no cache: every chunk the source supplies is one ReadAt.
+  auto counting = std::make_shared<CountingSource>(bytes, /*views=*/false);
+  DecodedVectorCache off(0);
+  SeekableReaderOptions options;
+  options.cache = &off;
+  auto reader = OpenSeekable(counting, options);
+  ASSERT_NE(reader, nullptr);
+  const io::SeekableSource source(reader);
+  const TranslatedPredicate pred(kAroundZero);
+  fault::FaultSpec count_only;
+  count_only.stall_only = true;
+  fault::Arm("io.chunk_read", count_only);
+  for (const exec::FilterMode mode :
+       {exec::FilterMode::kAuto, exec::FilterMode::kDecodeThenFilter}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    for (size_t rg = 0; rg < 3; ++rg) {
+      const uint64_t reads = counting->reads();
+      const uint64_t fired = fault::InjectedCount("io.chunk_read");
+      exec::Scratch scratch;
+      double sum = 0.0;
+      ASSERT_TRUE(
+          exec::FilterSumRowgroup(source, rg, pred, mode, nullptr, &scratch, &sum).ok());
+      const uint64_t want = rg == 1 ? 0 : 1;
+      EXPECT_EQ(counting->reads() - reads, want) << "rowgroup " << rg;
+      EXPECT_EQ(fault::InjectedCount("io.chunk_read") - fired, want)
+          << "rowgroup " << rg;
+      if (rg == 1) {
+        EXPECT_EQ(scratch.counters.skipped, kRowgroupVectors);
+        EXPECT_EQ(BitsOf(sum), BitsOf(0.0));
+      }
+    }
+  }
+}
+
+TEST(ZoneSkip, DisjointRowgroupIsNeverFetchedByEngineOrServer) {
+  FaultGuard guard;
+  const std::vector<double> values = DisjointMiddleRowgroup();
+  fault::FaultSpec count_only;
+  count_only.stall_only = true;
+  fault::Arm("io.chunk_read", count_only);
+
+  // Engine: a capacity-0 cache makes every chunk a touched rowgroup needs
+  // a miss, so the firings count exactly the rowgroups fetched.
+  auto column = engine::StoredColumn::MakeAlp(values.data(), values.size());
+  DecodedVectorCache off(0);
+  ASSERT_TRUE(column.EnableSeekable(&off).ok());
+  ThreadPool pool(2);
+  for (const exec::FilterMode mode :
+       {exec::FilterMode::kAuto, exec::FilterMode::kDecodeThenFilter}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const uint64_t fired = fault::InjectedCount("io.chunk_read");
+    const engine::QueryResult r =
+        engine::RunFilterSum(column, kAroundZero, pool, nullptr, mode);
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_EQ(fault::InjectedCount("io.chunk_read") - fired, 2u);
+    EXPECT_GE(r.vectors_skipped, kRowgroupVectors);
+  }
+
+  // Server: the filtered aggregate runs the same body per rowgroup.
+  server::ServerConfig config;
+  config.workers = 2;
+  config.cache_bytes = 0;
+  server::Server server(config);
+  ASSERT_TRUE(server.AddColumn("col", values.data(), values.size()).ok());
+  server::Request request;
+  request.column = "col";
+  request.query_class = server::QueryClass::kAggregate;
+  request.has_filter = true;
+  request.filter_lo = kAroundZero.lo;
+  request.filter_hi = kAroundZero.hi;
+  const uint64_t fired = fault::InjectedCount("io.chunk_read");
+  const server::Response r = server.Execute(std::move(request));
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_EQ(fault::InjectedCount("io.chunk_read") - fired, 2u);
+  EXPECT_GE(r.vectors_skipped, kRowgroupVectors);
+}
+
+TEST(ZoneSkip, DotSumFetchesNoProjectedChunkForARowgroupThatSelectsNoRow) {
+  // The filter column's middle rowgroup alternates -150 and +150: its zone
+  // map overlaps the predicate, but no row matches. The projected columns
+  // a and b are read out of core over a capacity-0 cache, so io.chunk_read
+  // fires once per rowgroup of a or b that is fetched.
+  FaultGuard guard;
+  std::vector<double> f = DisjointMiddleRowgroup();
+  for (size_t i = kRowgroupSize; i < 2 * kRowgroupSize; ++i) {
+    f[i] = (i % 2 == 0) ? -150.0 : 150.0;
+  }
+  const std::vector<double> a = DisjointMiddleRowgroup();
+  engine::Table memory;
+  memory.AddColumn("f", engine::StoredColumn::MakeAlp(f.data(), f.size()));
+  memory.AddColumn("a", engine::StoredColumn::MakeAlp(a.data(), a.size()));
+  memory.AddColumn("b", engine::StoredColumn::MakeAlp(f.data(), f.size()));
+  DecodedVectorCache off(0);
+  engine::Table seekable;
+  seekable.AddColumn("f", engine::StoredColumn::MakeAlp(f.data(), f.size()));
+  for (const char* name : {"a", "b"}) {
+    const std::vector<double>& data = name[0] == 'a' ? a : f;
+    auto column = engine::StoredColumn::MakeAlp(data.data(), data.size());
+    ASSERT_TRUE(column.EnableSeekable(&off).ok());
+    seekable.AddColumn(name, std::move(column));
+  }
+  fault::FaultSpec count_only;
+  count_only.stall_only = true;
+  fault::Arm("io.chunk_read", count_only);
+  ThreadPool pool(2);
+  for (const exec::FilterMode mode :
+       {exec::FilterMode::kAuto, exec::FilterMode::kDecodeThenFilter}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const engine::QueryResult want =
+        engine::RunFilteredDotSum(memory, "f", kAroundZero, "a", "b", pool, nullptr, mode);
+    ASSERT_TRUE(want.status.ok());
+    const uint64_t fired = fault::InjectedCount("io.chunk_read");
+    const engine::QueryResult got =
+        engine::RunFilteredDotSum(seekable, "f", kAroundZero, "a", "b", pool, nullptr,
+                                  mode);
+    ASSERT_TRUE(got.status.ok());
+    // Rowgroups 0 and 2 of a and of b; rowgroup 1 of neither.
+    EXPECT_EQ(fault::InjectedCount("io.chunk_read") - fired, 4u);
+    EXPECT_EQ(BitsOf(got.sum), BitsOf(want.sum));
+  }
 }
 
 TEST(SeekableFaults, ChunkReadFiresOnEveryMiss) {

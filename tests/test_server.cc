@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "alp/alp.h"
+#include "codecs/codec.h"
 #include "engine/column_store.h"
 #include "engine/operators.h"
 #include "server/server.h"
@@ -308,6 +309,27 @@ TEST(Server, NonAlpColumnsAreRejectedAtRegistration) {
       server.AddColumn("raw", engine::StoredColumn::MakeUncompressed(values))
           .code(),
       StatusCode::kCorrupt);
+  // Block-codec columns cannot be read out of core, whatever the codec's
+  // name: ALP blocks per rowgroup are still not the ALP column format.
+  EXPECT_EQ(server
+                .AddColumn("alp-blocks",
+                           engine::StoredColumn::MakeCodec(codecs::MakeAlpCodec(),
+                                                           values.data(),
+                                                           values.size()))
+                .code(),
+            StatusCode::kCorrupt);
+  EXPECT_EQ(server
+                .AddColumn("zstd", engine::StoredColumn::MakeCodec(
+                                       codecs::MakeZstd(), values.data(),
+                                       values.size()))
+                .code(),
+            StatusCode::kCorrupt);
+  for (const char* name : {"raw", "alp-blocks", "zstd"}) {
+    Request request;
+    request.column = name;
+    EXPECT_EQ(server.Execute(std::move(request)).status.code(),
+              StatusCode::kNotFound);
+  }
 }
 
 TEST(Server, ScanReturnsByteIdenticalValues) {
